@@ -12,9 +12,6 @@
      O(active flows), not O(offered flows).  The paired high-water /
      capacity numbers are [Sim]; the 0/1 bounded indicator gates the
      claim;
-   - determinism: the 2-domain run must reproduce the 1-domain digest
-     bit for bit (strict [Sim] gate, same contract as
-     parallel_scaling);
    - knee: the closed-loop load sweep bisects for the highest load
      whose p99 sojourn meets a budget.  The probe count and the knee
      load are deterministic, so both are [Sim]. *)
@@ -118,16 +115,6 @@ let run c =
      sojourn summaries at %d words and the live heap at %d words\n\
      (vs %d): state is O(active), not O(offered).\n\n"
     o4.Fabric.table_capacity words4 live4 live1;
-
-  (* {1 Determinism across domains} *)
-  let o2 = Fabric.run { cfg with Fabric.domains = 2 } in
-  let matches = String.equal o2.Fabric.digest o.Fabric.digest in
-  R.scalar c ~name:"fabric.digest_match.d2" ~unit_:"bool" ~kind:R.Sim
-    ~better:R.Higher
-    (if matches then 1. else 0.);
-  Printf.printf "2-domain digest %s the 1-domain run (%s).\n\n"
-    (if matches then "matches" else "DIVERGES from")
-    (String.sub o.Fabric.digest 0 12);
 
   (* {1 Closed-loop knee: highest load meeting a p99 budget} *)
   let probe_cfg = { cfg with Fabric.flows = 600 } in

@@ -2,10 +2,8 @@
    the paper-comparison tables and writing BENCH_<section>.json next to
    the text output.
 
-   Usage: main.exe [--out DIR] [--domains N] [section ...]
-   (default: all sections; `all` is also accepted.  --domains stamps
-   the engine domain count into every result's env, so baselines taken
-   at different counts can never be silently compared.)
+   Usage: main.exe [--out DIR] [section ...]
+   (default: all sections; `all` is also accepted.)
 
    Unknown section names are an error (exit 2, listing the valid names);
    a section that fails internally is reported and the harness exits 1
@@ -16,33 +14,24 @@ module Sections = Bench_sections.Sections
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [--out DIR] [--domains N] [section ...]\navailable sections: %s\n"
+    "usage: main.exe [--out DIR] [section ...]\navailable sections: %s\n"
     (String.concat " " (Sections.names ()))
 
 let () =
-  let rec parse out domains sections = function
-    | [] -> Some (out, domains, List.rev sections)
-    | "--out" :: dir :: rest -> parse dir domains sections rest
+  let rec parse out sections = function
+    | [] -> Some (out, List.rev sections)
+    | "--out" :: dir :: rest -> parse dir sections rest
     | [ "--out" ] ->
       Printf.eprintf "--out requires a directory argument\n";
       None
-    | "--domains" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some d when d >= 1 -> parse out d sections rest
-      | _ ->
-        Printf.eprintf "--domains requires a positive integer argument\n";
-        None)
-    | [ "--domains" ] ->
-      Printf.eprintf "--domains requires a positive integer argument\n";
-      None
     | ("--help" | "-h") :: _ -> None
-    | s :: rest -> parse out domains (s :: sections) rest
+    | s :: rest -> parse out (s :: sections) rest
   in
-  match parse "." 1 [] (List.tl (Array.to_list Sys.argv)) with
+  match parse "." [] (List.tl (Array.to_list Sys.argv)) with
   | None ->
     usage ();
     exit 2
-  | Some (out_dir, domains, requested) ->
+  | Some (out_dir, requested) ->
     let requested =
       match requested with
       | [] -> Sections.names ()
@@ -68,7 +57,7 @@ let () =
     let failures =
       List.filter_map
         (fun name ->
-          match Sections.run_one ~out_dir ~domains name with
+          match Sections.run_one ~out_dir name with
           | Ok (Some path) ->
             Printf.printf "[bench] wrote %s\n" path;
             None

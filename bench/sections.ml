@@ -263,7 +263,7 @@ let table7 c =
       let base =
         Printf.sprintf "table7.%s.%s"
           (slug row.Workload.Experiments.sem_name)
-          (slug (Workload.Estimate.scheme_name row.Workload.Experiments.scheme))
+          (slug (Genie.Stage_cost.scheme_name row.Workload.Experiments.scheme))
       in
       let record tag (fit : Stats.Fit.t) =
         R.scalar c ~name:(Printf.sprintf "%s.%s.mult_us_per_b" base tag)
@@ -276,7 +276,7 @@ let table7 c =
       Stats.Text_table.add_row t
         [
           row.Workload.Experiments.sem_name;
-          Workload.Estimate.scheme_name row.Workload.Experiments.scheme;
+          Genie.Stage_cost.scheme_name row.Workload.Experiments.scheme;
           "E";
           Format.asprintf "%a" Stats.Fit.pp row.Workload.Experiments.estimated;
           paper `Estimated;
@@ -380,8 +380,8 @@ let table8 c =
     (fun spec ->
       let costs = Machine.Cost_model.create spec in
       let base_mult =
-        let b1 = Workload.Estimate.base_us costs Net.Net_params.oc3 ~len:4096 in
-        let b2 = Workload.Estimate.base_us costs Net.Net_params.oc3 ~len:61440 in
+        let b1 = Genie.Stage_cost.base_us costs Net.Net_params.oc3 ~len:4096 in
+        let b2 = Genie.Stage_cost.base_us costs Net.Net_params.oc3 ~len:61440 in
         (b2 -. b1) /. float_of_int (61440 - 4096)
       in
       Stats.Text_table.add_row t
@@ -528,67 +528,6 @@ let load c =
      the copy-avoiding semantics fill the wire with CPU to spare - the\n\
      queueing view of the paper's OC-12 prediction.\n"
 
-(* {1 Parallel engine scaling} *)
-
-(* Determinism first, throughput second: every domain count must
-   reproduce the sequential digest bit for bit (strict Sim gate), and
-   on machines with enough cores the 4-domain run must clear a 2x
-   wall-clock speedup floor.  On smaller machines the indicator passes
-   trivially -- the domains multiplex on too few cores for the floor
-   to mean anything -- so the committed baseline stays portable. *)
-let parallel_scaling c =
-  section_header "Parallel engine: domain scaling and determinism";
-  let pairs = 4 and messages = 64 and seed = 7 in
-  let cores = Domain.recommended_domain_count () in
-  let measure domains =
-    let digest = ref "" and best = ref infinity in
-    for _ = 1 to 3 do
-      let cl = Genie.Cluster.create ~domains ~pairs () in
-      let t0 = Unix.gettimeofday () in
-      digest := Genie.Cluster.drive cl ~seed ~messages;
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    (!digest, !best)
-  in
-  let runs = List.map (fun d -> (d, measure d)) [ 1; 2; 4; 8 ] in
-  let ref_digest, t1 = List.assoc 1 runs in
-  let t =
-    Stats.Text_table.create
-      ~header:[ "domains"; "replay digest"; "best wall (s)"; "speedup" ]
-  in
-  List.iter
-    (fun (d, (digest, wall)) ->
-      let matches = String.equal digest ref_digest in
-      R.scalar c
-        ~name:(Printf.sprintf "parallel.digest_match.d%d" d)
-        ~unit_:"bool" ~kind:R.Sim ~better:R.Higher
-        (if matches then 1. else 0.);
-      R.scalar c
-        ~name:(Printf.sprintf "parallel.wall_s.d%d" d)
-        ~unit_:"s" ~kind:R.Wall ~better:R.Lower wall;
-      Stats.Text_table.add_row t
-        [
-          string_of_int d;
-          String.sub digest 0 12 ^ (if matches then "  (=)" else "  (!)");
-          Printf.sprintf "%.4f" wall;
-          Printf.sprintf "%.2fx" (t1 /. wall);
-        ])
-    runs;
-  Stats.Text_table.print t;
-  let speedup4 = t1 /. snd (List.assoc 4 runs) in
-  R.scalar c ~name:"parallel.speedup.d4" ~unit_:"x" ~kind:R.Wall
-    ~better:R.Higher speedup4;
-  R.scalar c ~name:"parallel.speedup_d4_ge2" ~unit_:"bool" ~kind:R.Wall
-    ~better:R.Higher
-    (if cores < 4 || speedup4 >= 2. then 1. else 0.);
-  Printf.printf
-    "Identical digests across domain counts gate determinism; the 2x\n\
-     speedup floor at 4 domains applies on >=4-core machines (this run:\n\
-     %d core%s%s).\n"
-    cores
-    (if cores = 1 then "" else "s")
-    (if cores < 4 then ", floor waived" else "")
-
 (* {1 Section registry} *)
 
 (* Alphabetical by section name, so the known-section listing printed
@@ -601,8 +540,7 @@ let all : (string * (R.collector -> unit)) list =
     ("fabric_scale", Fabric_scale.run); ("fig3", fig3); ("fig4", fig4);
     ("fig5", fig5); ("fig6", fig6); ("fig7", fig7); ("load", load);
     ("micro_bench", Micro_bench.run); ("mixed", Mixed.run); ("oc12", oc12);
-    ("outboard", outboard); ("parallel_scaling", parallel_scaling);
-    ("related", Related.run_all); ("storage", Storage.run);
+    ("outboard", outboard); ("related", Related.run_all); ("storage", Storage.run);
     ("table1", table1); ("table5", table5); ("table6", table6);
     ("table7", table7); ("table8", table8); ("wall_data", Wall_metrics.run);
   ]
@@ -623,7 +561,7 @@ let timestamp () =
    section recorded any metrics.  Exceptions are reported, not
    propagated, so a driver can run every requested section and still
    exit non-zero. *)
-let run_one ?(out_dir = ".") ?(domains = 1) name =
+let run_one ?(out_dir = ".") name =
   match List.assoc_opt name all with
   | None ->
     Error
@@ -632,7 +570,6 @@ let run_one ?(out_dir = ".") ?(domains = 1) name =
   | Some f ->
     let c = R.create_collector ~section:name () in
     R.set_created c (timestamp ());
-    R.set_domains c domains;
     (match f c with
     | () ->
       if R.collector_is_empty c then Ok None

@@ -115,16 +115,16 @@ let sweep_cmd =
 let estimate_cmd =
   let scheme_conv =
     let parse = function
-      | "early" -> Ok Workload.Estimate.Early_demux
-      | "pooled-aligned" -> Ok Workload.Estimate.Pooled_aligned
-      | "pooled-unaligned" -> Ok Workload.Estimate.Pooled_unaligned
+      | "early" -> Ok Genie.Stage_cost.Early_demux
+      | "pooled-aligned" -> Ok Genie.Stage_cost.Pooled_aligned
+      | "pooled-unaligned" -> Ok Genie.Stage_cost.Pooled_unaligned
       | s -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
     in
     Arg.conv
-      (parse, fun fmt s -> Format.pp_print_string fmt (Workload.Estimate.scheme_name s))
+      (parse, fun fmt s -> Format.pp_print_string fmt (Genie.Stage_cost.scheme_name s))
   in
   let scheme_arg =
-    Arg.(value & opt scheme_conv Workload.Estimate.Early_demux
+    Arg.(value & opt scheme_conv Genie.Stage_cost.Early_demux
          & info [ "scheme" ] ~docv:"SCHEME"
              ~doc:"early | pooled-aligned | pooled-unaligned")
   in
@@ -133,9 +133,9 @@ let estimate_cmd =
     Printf.printf
       "breakdown-model estimate: %s, %s, %d bytes -> %.1f usec one-way\n"
       (Genie.Semantics.name sem)
-      (Workload.Estimate.scheme_name scheme)
+      (Genie.Stage_cost.scheme_name scheme)
       len
-      (Workload.Estimate.latency_us costs Net.Net_params.oc3 ~scheme ~sem ~len)
+      (Genie.Stage_cost.latency_us costs Net.Net_params.oc3 ~scheme ~sem ~len)
   in
   Cmd.v (Cmd.info "estimate" ~doc:"Analytic latency from the breakdown model.")
     Term.(const run $ sem_arg $ scheme_arg $ len_arg $ machine_arg)
@@ -237,19 +237,11 @@ let check_cmd =
                 mid-run workload shifts, audited against the migration \
                 cap).")
   in
-  let domains_arg =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"K"
-             ~doc:
-               "Shard the simulation engine across K OCaml domains.  The \
-                replay digest must be identical for every K — CI gates on \
-                it.")
-  in
   let run steps seed check_every no_exhaustion no_faults no_batch no_storage
-      no_fabric no_adapt domains =
+      no_fabric no_adapt =
     let cfg =
       { Check.Fuzzer.default_config with
-        steps; seed; check_every; domains;
+        steps; seed; check_every;
         exhaustion = not no_exhaustion;
         link_faults = not no_faults;
         batch = not no_batch;
@@ -265,13 +257,14 @@ let check_cmd =
       Printf.printf
         "reproduce with: genie_cli check --steps %d --seed %d%s%s%s%s%s%s%s\n"
         steps seed
+        (if check_every <> 1 then Printf.sprintf " --check-every %d" check_every
+         else "")
         (if no_exhaustion then " --no-exhaustion" else "")
         (if no_faults then " --no-faults" else "")
         (if no_batch then " --no-batch" else "")
         (if no_storage then " --no-storage" else "")
         (if no_fabric then " --no-fabric" else "")
-        (if no_adapt then " --no-adapt" else "")
-        (if domains <> 1 then Printf.sprintf " --domains %d" domains else "");
+        (if no_adapt then " --no-adapt" else "");
       exit 1
   in
   Cmd.v
@@ -282,7 +275,7 @@ let check_cmd =
     Term.(
       const run $ steps_arg $ seed_arg $ check_every_arg $ no_exhaustion_arg
       $ no_faults_arg $ no_batch_arg $ no_storage_arg $ no_fabric_arg
-      $ no_adapt_arg $ domains_arg)
+      $ no_adapt_arg)
 
 (* {1 fabric: the datacenter-scale fan-in flow engine} *)
 
@@ -312,13 +305,6 @@ let fabric_cmd =
     Arg.(value & opt float Workload.Fabric.default.Workload.Fabric.load
          & info [ "load" ] ~docv:"L"
              ~doc:"Offered utilization of each port link (e.g. 0.7).")
-  in
-  let domains_arg =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"K"
-             ~doc:
-               "Shard the engine across K OCaml domains.  The completion \
-                digest must be identical for every K — CI gates on it.")
   in
   let seed_arg =
     Arg.(value & opt int Workload.Fabric.default.Workload.Fabric.seed
@@ -353,10 +339,10 @@ let fabric_cmd =
                 flows start on the slot's learned choice and migrate \
                 mid-flow as evidence accumulates.")
   in
-  let config hosts ports circuits flows load adaptive domains seed =
+  let config hosts ports circuits flows load adaptive seed =
     { Workload.Fabric.default with
       Workload.Fabric.hosts; ports; circuits_per_port = circuits; flows;
-      load; adaptive; domains; seed }
+      load; adaptive; seed }
   in
   let point_json (p : Workload.Load_sweep.fabric_point) =
     Printf.sprintf
@@ -385,8 +371,8 @@ let fabric_cmd =
       close_out oc;
       Printf.printf "[fabric] wrote %s\n" path
   in
-  let run hosts ports circuits flows load adaptive domains seed out sweep knee =
-    let cfg = config hosts ports circuits flows load adaptive domains seed in
+  let run hosts ports circuits flows load adaptive seed out sweep knee =
+    let cfg = config hosts ports circuits flows load adaptive seed in
     match (sweep, knee) with
     | Some grid, _ ->
       let loads =
@@ -460,7 +446,7 @@ let fabric_cmd =
           digest; --sweep and --knee drive offered-load curves.")
     Term.(
       const run $ hosts_arg $ ports_arg $ circuits_arg $ flows_arg $ load_arg
-      $ adaptive_arg $ domains_arg $ seed_arg $ out_arg $ sweep_arg $ knee_arg)
+      $ adaptive_arg $ seed_arg $ out_arg $ sweep_arg $ knee_arg)
 
 (* {1 trace: run a named scenario with tracing on, export Chrome JSON} *)
 
@@ -539,20 +525,7 @@ let bench_run_cmd =
          & info [] ~docv:"SECTION"
              ~doc:"Benchmark sections to run (default: all).")
   in
-  let domains_arg =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"N"
-             ~doc:
-               "Engine domain count stamped into every result's env.  \
-                $(b,bench compare) refuses to diff results whose stamps \
-                differ, so baselines taken at different counts can never \
-                be silently compared.")
-  in
-  let run out_dir domains requested =
-    if domains < 1 then begin
-      Printf.eprintf "--domains must be at least 1\n";
-      exit 2
-    end;
+  let run out_dir requested =
     let requested =
       match requested with
       | [] -> Sections.names ()
@@ -575,7 +548,7 @@ let bench_run_cmd =
       List.filter_map
         (fun name ->
           let name = Option.get (Sections.resolve name) in
-          match Sections.run_one ~out_dir ~domains name with
+          match Sections.run_one ~out_dir name with
           | Ok (Some path) ->
             Printf.printf "[bench] wrote %s\n" path;
             None
@@ -596,7 +569,7 @@ let bench_run_cmd =
        ~doc:
          "Run benchmark sections and write machine-readable \
           BENCH_<section>.json results.")
-    Term.(const run $ out_arg $ domains_arg $ sections_arg)
+    Term.(const run $ out_arg $ sections_arg)
 
 let bench_compare_cmd =
   let baseline_arg =
@@ -720,13 +693,8 @@ let adapt_cmd =
                 the adaptive run's deliberately wrong starting semantics — \
                 different indices exercise different wrong starts.")
   in
-  let domains_arg =
-    Arg.(value & opt int 1
-         & info [ "domains" ] ~docv:"K"
-             ~doc:"Shard the simulation engine across K OCaml domains.")
-  in
-  let run_single ~domains ~start_index r =
-    let c = Workload.Adaptive_run.converge ~domains ~start_index r in
+  let run_single ~start_index r =
+    let c = Workload.Adaptive_run.converge ~start_index r in
     Printf.printf "regime %-12s (start %s)\n" c.Workload.Adaptive_run.c_regime
       c.Workload.Adaptive_run.c_start;
     List.iter
@@ -745,8 +713,8 @@ let adapt_cmd =
        else "settled: FAILED");
     c.Workload.Adaptive_run.c_settled
   in
-  let run_mixed ~domains ~start_index r =
-    let c = Workload.Adaptive_run.converge ~domains ~start_index r in
+  let run_mixed ~start_index r =
+    let c = Workload.Adaptive_run.converge ~start_index r in
     let best_static =
       List.fold_left
         (fun acc (_, us) -> min acc us)
@@ -772,23 +740,19 @@ let adapt_cmd =
       (if ok then "beats every static: OK" else "beats every static: FAILED");
     ok
   in
-  let run regime start_index domains =
+  let run regime start_index =
     let ok =
       match regime with
       | "all" ->
         let singles =
-          List.map
-            (fun r -> run_single ~domains ~start_index r)
-            Workload.Adaptive_run.regimes
+          List.map (fun r -> run_single ~start_index r) Workload.Adaptive_run.regimes
         in
-        let mixed =
-          run_mixed ~domains ~start_index Workload.Adaptive_run.mixed_regime
-        in
+        let mixed = run_mixed ~start_index Workload.Adaptive_run.mixed_regime in
         List.for_all Fun.id singles && mixed
-      | "mixed" -> run_mixed ~domains ~start_index Workload.Adaptive_run.mixed_regime
+      | "mixed" -> run_mixed ~start_index Workload.Adaptive_run.mixed_regime
       | name -> (
         match Workload.Adaptive_run.find_regime name with
-        | Some r -> run_single ~domains ~start_index r
+        | Some r -> run_single ~start_index r
         | None ->
           Printf.eprintf "unknown regime %s\n" name;
           false)
@@ -801,7 +765,7 @@ let adapt_cmd =
          "Run the online-adaptation convergence check: measure every static \
           semantics on a workload, then verify the per-flow controller \
           discovers the winner from a wrong start and settles on it.")
-    Term.(const run $ regime_arg $ start_index_arg $ domains_arg)
+    Term.(const run $ regime_arg $ start_index_arg)
 
 let () =
   let info =

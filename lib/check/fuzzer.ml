@@ -19,7 +19,6 @@ type config = {
   storage : bool;
   fabric : bool;
   adapt : bool;
-  domains : int;
 }
 
 let default_config =
@@ -37,7 +36,6 @@ let default_config =
     storage = true;
     fabric = true;
     adapt = true;
-    domains = 1;
   }
 
 type stop_reason = Completed | Violations of Invariants.violation list
@@ -191,7 +189,7 @@ let run ?trace cfg =
     { Machine.Machine_spec.micron_p166 with memory_mb = cfg.memory_mb }
   in
   let w =
-    Genie.World.create ~domains:cfg.domains ?trace ~spec_a:mspec ~spec_b:mspec
+    Genie.World.create ?trace ~spec_a:mspec ~spec_b:mspec
       ~pool_frames:cfg.pool_frames ()
   in
   let host_a = w.Genie.World.a and host_b = w.Genie.World.b in
@@ -243,24 +241,14 @@ let run ?trace cfg =
   let storage_ops = ref 0 in
   let rng = R.create ~seed:cfg.seed in
   let schedule = ref [] in
-  (* Counters bumped from completion callbacks are atomic and the
-     schedule/audit logs mutex-protected: with [domains >= 2] the two
-     hosts' callbacks fire on different OCaml domains.  Final counter
-     values are sums and therefore identical for every domain count;
-     only the interleaving of schedule lines may differ. *)
-  let started = ref 0 and completed = Atomic.make 0 and faults = ref 0 in
-  let live = Atomic.make 0 and orphans = ref 0 and dups = ref 0 in
+  let started = ref 0 and completed = ref 0 and faults = ref 0 in
+  let live = ref 0 and orphans = ref 0 and dups = ref 0 in
   let rejected = ref 0 in
-  let log_mutex = Mutex.create () in
   let note fmt =
     Printf.ksprintf
       (fun s ->
-        let line =
-          Printf.sprintf "[t=%8.2fus] %s" (Genie.Host.now_us host_a) s
-        in
-        Mutex.lock log_mutex;
-        schedule := line :: !schedule;
-        Mutex.unlock log_mutex)
+        schedule :=
+          Printf.sprintf "[t=%8.2fus] %s" (Genie.Host.now_us host_a) s :: !schedule)
       fmt
   in
   let pages_for off len = (off + len + psize - 1) / psize in
@@ -276,8 +264,7 @@ let run ?trace cfg =
      migration can land at any point of the chaos.  The draws for the
      overridden semantics still happen, keeping the rng stream aligned
      with [adapt = false] runs.  Evidence is noted at submit time from
-     the driver, which runs between engine slices — deterministic for
-     every domain count. *)
+     the driver, which runs between engine slices. *)
   let adapt_config =
     {
       Genie.Adapt.default_config with
@@ -327,10 +314,7 @@ let run ?trace cfg =
   let audit = ref [] in
   let audit_violation ~invariant ~host ~subject fmt =
     Printf.ksprintf
-      (fun detail ->
-        Mutex.lock log_mutex;
-        audit := { Invariants.invariant; host; subject; detail } :: !audit;
-        Mutex.unlock log_mutex)
+      (fun detail -> audit := { Invariants.invariant; host; subject; detail } :: !audit)
       fmt
   in
   (* transfer id -> payload length, for every output that was accepted;
@@ -615,8 +599,8 @@ let run ?trace cfg =
      callback path and the batched reap path so both regimes account
      deliveries identically. *)
   let sys_input_complete recv res =
-    Atomic.decr live;
-    Atomic.incr completed;
+    decr live;
+    incr completed;
     audit_delivery recv.s_host res;
     match res.Genie.Input_path.buf with
     | Some b when Genie.Input_path.ok res ->
@@ -627,8 +611,8 @@ let run ?trace cfg =
     | _ -> ()
   in
   let app_input_complete recv r res =
-    Atomic.decr live;
-    Atomic.incr completed;
+    decr live;
+    incr completed;
     audit_delivery recv.s_host res;
     recv.s_freeable <- r :: recv.s_freeable
   in
@@ -647,13 +631,13 @@ let run ?trace cfg =
   let post_input recv vc sem len =
     let spec, on_complete = input_entry recv sem len in
     let ep = List.assoc vc recv.s_eps in
-    Atomic.incr live;
+    incr live;
     match Genie.Endpoint.input ep ~sem ~spec ~on_complete with
     | Ok h -> Some h
     | Error `Again ->
         (* Frame exhaustion rejected the region allocation: the input
            was never posted.  The paired output turns into an orphan. *)
-        Atomic.decr live;
+        decr live;
         incr rejected;
         note "input REJECTED (backpressure) on %s vc=%d" (sname recv) vc;
         None
@@ -700,7 +684,7 @@ let run ?trace cfg =
         incr rejected;
         (match ao with Some ao -> ao.ao_done <- true | None -> ());
         (match handle with
-        | Some h -> if Genie.Endpoint.cancel h then Atomic.decr live
+        | Some h -> if Genie.Endpoint.cancel h then decr live
         | None -> ());
         note "transfer#%d %s->%s vc=%d out=%s len=%d REJECTED (backpressure)"
           id (sname send) (sname recv) vc (Sem.name send_sem) len)
@@ -748,7 +732,7 @@ let run ?trace cfg =
     let a_to_b = R.int rng ~bound:2 = 0 in
     let send, recv = if a_to_b then (side_a, side_b) else (side_b, side_a) in
     let vc, _mode = pick rng vcs in
-    let room = max 1 (cfg.max_in_flight - Atomic.get live) in
+    let room = max 1 (cfg.max_in_flight - !live) in
     let k = 1 + R.int rng ~bound:(min 6 room) in
     (* explicit loops: rng draws must happen in a defined order for the
        run to replay from its seed *)
@@ -780,7 +764,7 @@ let run ?trace cfg =
       (fun i outcome ->
         match outcome with
         | Genie.Endpoint.In_accepted h ->
-            Atomic.incr live;
+            incr live;
             Hashtbl.replace in_waiting
               (sname recv, vc, Genie.Endpoint.token h)
               in_conts.(i);
@@ -794,7 +778,7 @@ let run ?trace cfg =
     let uncancel_input i =
       match handles.(i) with
       | Some h when Genie.Endpoint.cancel h ->
-          Atomic.decr live;
+          decr live;
           Hashtbl.remove in_waiting (sname recv, vc, Genie.Endpoint.token h);
           handles.(i) <- None;
           true
@@ -928,8 +912,6 @@ let run ?trace cfg =
           | Some f -> taken := f :: !taken
           | None -> ()
         done;
-        (* Release on the hogged side's own shard: the pool belongs to
-           that host. *)
         Simcore.Engine.schedule side.s_host.Genie.Host.engine
           ~delay:(Simcore.Sim_time.of_us hold_us) (fun () ->
             List.iter (Genie.Host.pool_put side.s_host) !taken);
@@ -1056,9 +1038,9 @@ let run ?trace cfg =
   (* open legs of the current session: sender + receiver; a new session
      starts only once both have reached a terminal state, so go-back-N
      sequence numbers of different sessions never interleave *)
-  let rel_open = Atomic.make 0 in
+  let rel_open = ref 0 in
   let do_rel () =
-    if Atomic.get rel_open > 0 then do_run ()
+    if !rel_open > 0 then do_run ()
     else begin
       incr rel_sessions;
       let id = 1_000_000 + !rel_sessions in
@@ -1104,11 +1086,11 @@ let run ?trace cfg =
             incr faults;
             "dead"
       in
-      Atomic.set rel_open 2;
+      rel_open := 2;
       let sid = !rel_sessions in
       Genie.Rel_channel.recv rel_rx ~deadline_us:60_000. ~buf:dst
         ~on_complete:(fun ~ok ->
-          Atomic.decr rel_open;
+          decr rel_open;
           if
             ok
             && not
@@ -1123,7 +1105,7 @@ let run ?trace cfg =
           note "rel#%d receiver done ok=%b" sid ok)
         ();
       Genie.Rel_channel.send rel_tx ~buf:src ~on_complete:(fun r ->
-          Atomic.decr rel_open;
+          decr rel_open;
           Net.Adapter.clear_faults adapter ~vc:rel_data_vc;
           side_a.s_freeable <- src_r :: side_a.s_freeable;
           match r with
@@ -1235,7 +1217,7 @@ let run ?trace cfg =
        let actions =
          [
            (6, fun () ->
-             if Atomic.get live >= cfg.max_in_flight then do_run ()
+             if !live >= cfg.max_in_flight then do_run ()
              else if cfg.batch then do_batch_transfer ()
              else do_transfer ~orphan:false ());
            (4, do_run);
@@ -1333,7 +1315,7 @@ let run ?trace cfg =
        let n = reap_side side_a + reap_side side_b in
        if n > 0 then note "final reap %d completions" n
      end;
-     note "drained; %d/%d transfers completed" (Atomic.get completed) !started;
+     note "drained; %d/%d transfers completed" !completed !started;
      (* Full drain of the batched bookkeeping: an accepted batched
         operation whose completion never reached a ring means the ring
         path lost it. *)
@@ -1347,11 +1329,11 @@ let run ?trace cfg =
      (* Transfer accounting: at quiescence every queued transfer must
         have been completed or cancelled — a pending input with no PDU
         ever coming means a completion was silently lost. *)
-     if Atomic.get live <> 0 || Atomic.get rel_open <> 0 then
+     if !live <> 0 || !rel_open <> 0 then
        audit_violation ~invariant:"transfer-accounting" ~host:"world"
          ~subject:"drain"
          "%d datagram inputs and %d rel legs still pending after drain"
-         (Atomic.get live) (Atomic.get rel_open);
+         !live !rel_open;
      let pending =
        List.fold_left
          (fun acc (_, ep) -> acc + Genie.Endpoint.pending_inputs ep)
@@ -1409,15 +1391,11 @@ let run ?trace cfg =
       event_keys
   in
   let digest =
-    (* Only domain-count-invariant quantities go in: driver-side counts,
-       callback counter sums, audited tracer counters and the final
-       simulated instant.  Equality of this digest across [--domains]
-       values is the CI determinism gate for the parallel engine. *)
     let b = Buffer.create 128 in
     Buffer.add_string b
       (Printf.sprintf
          "seed=%d;steps=%d;run=%d;started=%d;completed=%d;faults=%d;rejected=%d;rel=%d;store=%d;fab=%d;t=%.3f;viol=%d;"
-         cfg.seed cfg.steps !steps_run !started (Atomic.get completed) !faults
+         cfg.seed cfg.steps !steps_run !started !completed !faults
          !rejected !rel_sessions !storage_ops !fabric_ops
          (Genie.Host.now_us host_a)
          (List.length !violations));
@@ -1431,7 +1409,7 @@ let run ?trace cfg =
     stop = (if !violations = [] then Completed else Violations !violations);
     schedule = List.rev !schedule;
     transfers_started = !started;
-    transfers_completed = Atomic.get completed;
+    transfers_completed = !completed;
     faults_injected = !faults;
     rejected = !rejected;
     rel_sessions = !rel_sessions;

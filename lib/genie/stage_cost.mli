@@ -9,8 +9,8 @@
 
     Lives in [Genie] so online consumers (the adaptive controller) can
     score candidate semantics with the same calibrated tables the
-    offline estimates use; [Workload.Estimate] re-exports this module
-    for report generation. *)
+    offline estimates use: the "E" rows of Table 7 and the figure
+    baselines in [Workload.Experiments] call this module directly. *)
 
 type scheme = Early_demux | Pooled_aligned | Pooled_unaligned
 

@@ -4,20 +4,15 @@ type t = {
   b : Host.t;
 }
 
-let create ?(domains = 1) ?(params = Net.Net_params.oc3)
-    ?(spec_a = Machine.Machine_spec.micron_p166)
-    ?(spec_b = Machine.Machine_spec.micron_p166) ?thresholds ?pool_frames ?trace
-    () =
-  let engine = Simcore.Engine.create ~domains () in
-  (* With >= 2 domains, host b lives on its own shard; the ATM link's
-     propagation delay becomes the lookahead window. *)
-  let engine_b = Simcore.Engine.shard engine ~id:(Stdlib.min 1 (domains - 1)) in
+let create ?(params = Net.Net_params.oc3) ?(spec_a = Machine.Machine_spec.micron_p166)
+    ?(spec_b = Machine.Machine_spec.micron_p166) ?thresholds ?pool_frames ?trace () =
+  let engine = Simcore.Engine.create () in
   let a =
     Host.create ?pool_frames ?thresholds ?tracer:trace engine params spec_a
       ~name:"host-a"
   in
   let b =
-    Host.create ?pool_frames ?thresholds ?tracer:trace engine_b params spec_b
+    Host.create ?pool_frames ?thresholds ?tracer:trace engine params spec_b
       ~name:"host-b"
   in
   Net.Adapter.connect a.Host.adapter b.Host.adapter;

@@ -8,7 +8,6 @@ type t = {
 }
 
 val create :
-  ?domains:int ->
   ?params:Net.Net_params.t ->
   ?spec_a:Machine.Machine_spec.t ->
   ?spec_b:Machine.Machine_spec.t ->
@@ -18,14 +17,11 @@ val create :
   unit ->
   t
 (** Defaults: OC-3 link between two Micron P166s with the paper's
-    thresholds.  [domains] shards the engine across that many OCaml
-    domains (default 1, strictly sequential); with 2 or more, host [b]
-    runs on its own shard and the link propagation delay becomes the
-    conservative lookahead — results are bit-identical across domain
-    counts.  [trace] installs one shared tracer on both hosts, so a
-    single event stream covers the whole testbed (events carry the host
-    name); create it with [Simcore.Tracer.create ~enabled:true ()] to
-    record from the first instant. *)
+    thresholds; both hosts share one engine.  [trace] installs one
+    shared tracer on both hosts, so a single event stream covers the
+    whole testbed (events carry the host name); create it with
+    [Simcore.Tracer.create ~enabled:true ()] to record from the first
+    instant. *)
 
 val hosts : t -> Host.t list
 (** Both hosts, sender first — for tooling that iterates without

@@ -1,77 +1,33 @@
-(** Discrete-event simulation engine, optionally sharded across OCaml 5
-    domains.
+(** Discrete-event simulation engine.
 
-    A [t] is a handle on one {e shard} of a simulation core.  The
-    default single-shard engine is strictly sequential and
-    deterministic: events at the same instant run in scheduling order —
-    exactly the historical contract, byte for byte.
-
-    With [create ~domains:k] the core runs [k] shards in parallel under
-    a conservative-lookahead window protocol: every shard owns its own
-    event wheel and clock, advances through the global window
-    [w, w + lookahead) concurrently with its peers, and exchanges
-    cross-shard events through SPSC mailboxes that are merged
-    deterministically — ordered by (time, source shard, post sequence) —
-    at window boundaries.  The lookahead is the minimum cross-shard link
-    latency declared via {!register_link}.  Components simply schedule
-    on the handle of the shard that owns the state they touch; the
-    engine routes cross-shard calls through the mailboxes
-    automatically. *)
+    One event queue (a {!Wheel}) and one clock.  Execution is strictly
+    sequential and deterministic: events at the same instant run in
+    scheduling order. *)
 
 type t
 
-val create : ?domains:int -> unit -> t
-(** Build a core of [domains] shards (default 1) and return the handle
-    of shard 0. *)
-
-val domains : t -> int
-val shard : t -> id:int -> t
-(** Handle of another shard of the same core. *)
-
-val shard_id : t -> int
-val same_shard : t -> t -> bool
-
-val register_link : t -> t -> latency:Sim_time.t -> unit
-(** Declare a communication link between two shards' components with the
-    given minimum latency; the core's lookahead becomes the minimum over
-    all registered links.  Cross-shard events must never be scheduled
-    closer than the lookahead — network propagation delays guarantee
-    this for PDU traffic. *)
-
-val lookahead : t -> Sim_time.t
-(** Current lookahead window (0 until a link is registered). *)
+val create : unit -> t
 
 val now : t -> Sim_time.t
-(** Current simulated time of this shard.  Shard clocks are aligned at
-    run boundaries and may drift apart only inside a parallel window. *)
+(** Current simulated time. *)
 
 val schedule : t -> delay:Sim_time.t -> (unit -> unit) -> unit
-(** [schedule t ~delay f] runs [f] on shard [t] at [delay] after the
-    executing shard's current time.  [delay] must be non-negative. *)
+(** [schedule t ~delay f] runs [f] at [delay] after the current time.
+    [delay] must be non-negative. *)
 
 val at : t -> time:Sim_time.t -> (unit -> unit) -> unit
-(** [at t ~time f] runs [f] on shard [t] at absolute instant [time],
-    which must not be in the simulated past.  Called from an event
-    executing on a different shard, this becomes a deterministic
-    cross-shard post delivered at the next window boundary. *)
-
-val post_relaxed : t -> (unit -> unit) -> unit
-(** Run [f] on shard [t] without a timestamp contract: immediately when
-    called from [t]'s own shard (or any sequential context), otherwise
-    at the next window boundary, stamped with [t]'s clock.  Only for
-    wall-clock-only effects (e.g. recycling a buffer) that carry no
-    simulated-time meaning. *)
+(** [at t ~time f] runs [f] at absolute instant [time], which must not
+    be in the simulated past. *)
 
 val run : t -> unit
-(** Drain the core's event queues completely (all shards). *)
+(** Drain the event queue completely. *)
 
 val run_until : t -> Sim_time.t -> unit
-(** Process events with timestamp [<= limit] on all shards; afterwards
-    every shard clock reads at least [limit]. *)
+(** Process events with timestamp [<= limit]; afterwards the clock reads
+    at least [limit]. *)
 
 val step : t -> bool
-(** Process a single event.  Returns [false] when the queue is empty.
-    Single-shard cores only. *)
+(** Process a single event.  Returns [false] when the queue is empty. *)
 
 val pending : t -> int
-(** Events still queued across all shards and mailboxes. *)
+(** Events still queued. *)

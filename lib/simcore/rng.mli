@@ -32,6 +32,6 @@ val split : t -> t
 val stream : t -> id:int -> t
 (** [stream t ~id] derives the [id]-th independent stream from [t]'s
     current state {e without} advancing it: the same [(t, id)] always
-    yields the same stream, so per-shard generators split from one seed
+    yields the same stream, so per-port generators split from one seed
     are reproducible regardless of derivation order.  [id] must be
     non-negative. *)

@@ -29,14 +29,7 @@ type metric = {
   summary : Summary.t;
 }
 
-(* [domains] records the engine shard count the run used: wall-clock
-   numbers from different domain counts are not comparable baselines. *)
-type env = {
-  os_type : string;
-  word_size : int;
-  ocaml_version : string;
-  domains : int;
-}
+type env = { os_type : string; word_size : int; ocaml_version : string }
 
 type t = {
   section : string;
@@ -46,13 +39,8 @@ type t = {
   metrics : metric list;
 }
 
-let current_env ?(domains = 1) () =
-  {
-    os_type = Sys.os_type;
-    word_size = Sys.word_size;
-    ocaml_version = Sys.ocaml_version;
-    domains;
-  }
+let current_env () =
+  { os_type = Sys.os_type; word_size = Sys.word_size; ocaml_version = Sys.ocaml_version }
 
 (* {1 Collector} *)
 
@@ -60,25 +48,14 @@ type collector = {
   c_section : string;
   mutable c_seed : int option;
   mutable c_created : string option;
-  mutable c_domains : int;
   mutable c_rev_metrics : metric list;
 }
 
 let create_collector ~section () =
-  {
-    c_section = section;
-    c_seed = None;
-    c_created = None;
-    c_domains = 1;
-    c_rev_metrics = [];
-  }
+  { c_section = section; c_seed = None; c_created = None; c_rev_metrics = [] }
 
 let set_seed c seed = c.c_seed <- Some seed
 let set_created c created = c.c_created <- Some created
-
-let set_domains c domains =
-  if domains < 1 then invalid_arg "Bench_result.set_domains";
-  c.c_domains <- domains
 
 let add c ~name ~unit_ ?(kind = Sim) ?(better = Lower) samples =
   let samples = List.filter Float.is_finite samples in
@@ -100,7 +77,7 @@ let result c =
     section = c.c_section;
     seed = c.c_seed;
     created = c.c_created;
-    env = current_env ~domains:c.c_domains ();
+    env = current_env ();
     metrics = List.rev c.c_rev_metrics;
   }
 
@@ -145,7 +122,6 @@ let to_json t =
             ("os_type", Json.Str t.env.os_type);
             ("word_size", Json.Int t.env.word_size);
             ("ocaml_version", Json.Str t.env.ocaml_version);
-            ("domains", Json.Int t.env.domains);
           ] );
       ("metrics", Json.List (List.map metric_to_json t.metrics));
     ]
@@ -220,9 +196,6 @@ let of_json j =
           ocaml_version =
             Option.value ~default:"?"
               (Option.bind (Json.member "ocaml_version" ej) Json.to_str);
-          (* absent in pre-parallelism baselines: those ran sequentially *)
-          domains =
-            Option.value ~default:1 (Option.bind (Json.member "domains" ej) Json.to_int);
         }
     | None -> Error "missing env"
   in

@@ -7,9 +7,9 @@
    kilowords as a 100-flow run.
 
    Why a histogram and not a random reservoir or a P^2 estimator: the
-   fabric engine must produce bit-identical results whatever the domain
-   count, and shard-local summaries must merge into one global summary
-   after a parallel run.  A sampling reservoir needs a random source
+   fabric engine's results must be bit-identical from run to run, and
+   its per-port summaries must merge into one global summary after the
+   run.  A sampling reservoir needs a random source
    (merging two is order-sensitive), and P^2 marker updates neither
    merge nor commute.  Bucket counts do both: [merge] is a vector add,
    exactly associative and commutative, and [add] is deterministic.

@@ -4,9 +4,9 @@
     samples: O(1) state regardless of sample count, quantiles to a
     bounded relative error (~0.8%, half the 1/64 bucket width), and a
     deterministic, exactly associative and commutative {!merge} — the
-    properties the parallel fabric engine needs to fold shard-local
-    latency populations into one global summary bit-identically for
-    every domain count.  (A sampling reservoir needs randomness and
+    properties the fabric engine needs to fold per-port latency
+    populations into one global summary bit-identically in any order.
+    (A sampling reservoir needs randomness and
     merges order-sensitively; P^2 marker updates neither merge nor
     commute — see the implementation comment.)
 

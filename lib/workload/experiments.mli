@@ -54,7 +54,7 @@ val fit_of_runs : run list -> sem:Genie.Semantics.t -> Stats.Fit.t
 
 type table7_row = {
   sem_name : string;
-  scheme : Estimate.scheme;
+  scheme : Genie.Stage_cost.scheme;
   estimated : Stats.Fit.t;
   actual : Stats.Fit.t;
 }

@@ -12,12 +12,9 @@
    - latency populations stream into fixed-size histograms
      ([Stats.Streaming_summary]); nothing retains per-flow data.
 
-   Determinism across domain counts: each port's client state is only
-   ever touched on its client shard and server state on its server
-   shard.  The cross-shard interactions — flow-open metadata, chunk
-   PDUs, completion/recycle — all travel at >= prop_delay, the engine's
-   lookahead floor, and port Rng streams are split from the root seed,
-   so the event history is independent of how shards map to domains. *)
+   All ports share one engine.  Each port draws from its own Rng stream
+   split from the root seed, so a port's draws do not depend on how the
+   other ports' events interleave with its own. *)
 
 type config = {
   hosts : int;
@@ -32,7 +29,6 @@ type config = {
   credit_cells : int;
   retry_us : float;
   adaptive : bool;
-  domains : int;
   seed : int;
   params : Net.Net_params.t;
   spec : Machine.Machine_spec.t;
@@ -52,7 +48,6 @@ let default =
     credit_cells = 512;
     retry_us = 50.;
     adaptive = false;
-    domains = 1;
     seed = 42;
     params = Net.Net_params.oc3;
     spec = Experiments.light_spec Machine.Machine_spec.micron_p166;
@@ -78,8 +73,8 @@ type outcome = {
 
 (* One pooled circuit: a credited VC with an endpoint pair and a reused
    buffer on each side.  The [fl_*] fields are the state machine of the
-   flow currently riding the circuit (client shard only); the [rx_*]
-   fields are the server shard's view of it.  [in_sem] is the circuit's
+   flow currently riding the circuit (client side); the [rx_*] fields
+   are the server's view of it.  [in_sem] is the circuit's
    fixed input-side semantics; the output side varies per flow. *)
 type circuit = {
   ci : int;
@@ -93,7 +88,7 @@ type circuit = {
   mutable fl_sent : int;
   mutable fl_sem : Genie.Semantics.t;
   ctl : Genie.Adapt.t option;
-      (* client-shard controller, one per circuit slot: each flow riding
+      (* client-side controller, one per circuit slot: each flow riding
          the circuit starts on the controller's current choice and its
          chunks feed the evidence window — per-flow adaptation in
          O(active) memory. *)
@@ -116,7 +111,7 @@ type port = {
   mutable rejected : int;
   mutable retries : int;
   mutable host_sum : int;  (* sum of accepted flows' source-host ids *)
-  (* server-shard side *)
+  (* server side *)
   sojourn : Stats.Streaming_summary.t;
   mutable completed : int;
   mutable rx_bytes : int;
@@ -168,8 +163,7 @@ let validate cfg =
 
 let run cfg =
   validate cfg;
-  let engine = Simcore.Engine.create ~domains:cfg.domains () in
-  let k = Simcore.Engine.domains engine in
+  let engine = Simcore.Engine.create () in
   let root = Simcore.Rng.create ~seed:cfg.seed in
   let prop = cfg.params.Net.Net_params.prop_delay in
   (* Payload bytes per us at line rate: 48 payload bytes per cell. *)
@@ -201,13 +195,11 @@ let run cfg =
   in
   let mean_gap_us = mean_size /. (cfg.load *. bytes_per_us) in
   let make_port i =
-    let sa = Simcore.Engine.shard engine ~id:(2 * i mod k) in
-    let sb = Simcore.Engine.shard engine ~id:((2 * i + 1) mod k) in
     let a =
-      Genie.Host.create sa cfg.params cfg.spec ~name:(Printf.sprintf "f%d-a" i)
+      Genie.Host.create engine cfg.params cfg.spec ~name:(Printf.sprintf "f%d-a" i)
     in
     let b =
-      Genie.Host.create sb cfg.params cfg.spec ~name:(Printf.sprintf "f%d-b" i)
+      Genie.Host.create engine cfg.params cfg.spec ~name:(Printf.sprintf "f%d-b" i)
     in
     Net.Adapter.connect a.Genie.Host.adapter b.Genie.Host.adapter;
     let rng = Simcore.Rng.stream root ~id:i in
@@ -280,8 +272,7 @@ let run cfg =
   let ports = Array.init cfg.ports make_port in
   (* Server side: one input per circuit is always posted; each
      completion counts a chunk of the open flow, and the last chunk
-     records the sojourn and posts the recycle back to the client
-     shard.  Runs entirely on the server shard. *)
+     records the sojourn and sends the recycle back to the client. *)
   let serve p c =
     let rec post () =
       ignore
@@ -300,12 +291,7 @@ let run cfg =
                c.rx_expected <- 0;
                (* Teardown travels back one propagation delay; only then
                   is the circuit free for the next flow. *)
-               Simcore.Engine.at p.a.Genie.Host.engine
-                 ~time:
-                   (Simcore.Sim_time.add
-                      (Simcore.Engine.now p.b.Genie.Host.engine)
-                      prop)
-                 (fun () ->
+               Simcore.Engine.schedule engine ~delay:prop (fun () ->
                    let freed = Genie.Flow_table.free p.table c.fl_handle in
                    assert freed;
                    p.free.(p.free_top) <- c.ci;
@@ -318,7 +304,7 @@ let run cfg =
      previous one's dispose retires (the circuit buffer is reused, so a
      chunk may not be overwritten while the adapter can still read it).
      [`Again] is frame-exhaustion backpressure: retry after a fixed
-     backoff.  Runs entirely on the client shard. *)
+     backoff. *)
   let rec send_chunk p c =
     match
       Genie.Endpoint.output c.ea ~sem:c.fl_sem ~buf:c.cbuf
@@ -337,8 +323,7 @@ let run cfg =
     | Ok _ -> ()
     | Error `Again ->
       p.retries <- p.retries + 1;
-      Simcore.Engine.schedule p.a.Genie.Host.engine
-        ~delay:(Simcore.Sim_time.of_us cfg.retry_us)
+      Simcore.Engine.schedule engine ~delay:(Simcore.Sim_time.of_us cfg.retry_us)
         (fun () -> send_chunk p c)
   in
   let open_flow p c ~chunks =
@@ -356,9 +341,7 @@ let run cfg =
     let start = Genie.Host.now_us p.a in
     (* Flow-open metadata reaches the server one propagation delay ahead
        of the first chunk (which also pays serialization). *)
-    Simcore.Engine.at p.b.Genie.Host.engine
-      ~time:(Simcore.Sim_time.add (Simcore.Engine.now p.a.Genie.Host.engine) prop)
-      (fun () ->
+    Simcore.Engine.schedule engine ~delay:prop (fun () ->
         c.rx_expected <- chunks;
         c.rx_got <- 0;
         c.rx_start <- start);
@@ -389,7 +372,7 @@ let run cfg =
           open_flow p c ~chunks
         end
         else p.rejected <- p.rejected + 1;
-        Simcore.Engine.schedule p.a.Genie.Host.engine
+        Simcore.Engine.schedule engine
           ~delay:(Simcore.Sim_time.of_us (Float.max 0.05 gap))
           arrival
       end

@@ -28,12 +28,9 @@
     application-allocated corners of the taxonomy; each circuit fixes an
     input-side semantics at pool construction.
 
-    Runs are deterministic for a given [seed] {e and independent of the
-    domain count}: all per-port client state lives on the port's client
-    shard, server state on its server shard, and every cross-shard
-    interaction travels at or beyond the propagation delay, inside the
-    engine's conservative-lookahead contract.  {!outcome.digest} is the
-    gate. *)
+    Runs are deterministic for a given [seed]: every port shares one
+    sequential engine and draws from its own Rng stream split from the
+    seed.  {!outcome.digest} is the replay gate. *)
 
 type config = {
   hosts : int;  (** logical client hosts fanning in *)
@@ -55,7 +52,6 @@ type config = {
           stays O(active flows) because controllers live in the circuit
           pool.  When [false] the engine behaves (and digests)
           byte-identically to a build without the controller. *)
-  domains : int;  (** engine shards; must not change the digest *)
   seed : int;
   params : Net.Net_params.t;
   spec : Machine.Machine_spec.t;

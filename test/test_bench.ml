@@ -128,26 +128,43 @@ let sample_result () =
   R.scalar c ~name:"d.calib" ~unit_:"us/B" ~better:R.Neutral 0.018;
   R.result c
 
+(* Baselines written before the engine became sequential-only still
+   carry ["domains": 1] in their env stamp; they must keep parsing. *)
+let with_domains_stamp = function
+  | J.Obj fields ->
+    J.Obj
+      (List.map
+         (function
+           | "env", J.Obj env -> ("env", J.Obj (env @ [ ("domains", J.Int 1) ]))
+           | kv -> kv)
+         fields)
+  | j -> j
+
 let test_bench_result_roundtrip () =
   let t = sample_result () in
-  match R.of_string (R.to_string t) with
-  | Error e -> Alcotest.fail e
-  | Ok t' ->
-    Alcotest.(check string) "section" t.R.section t'.R.section;
-    Alcotest.(check (option int)) "seed" t.R.seed t'.R.seed;
-    Alcotest.(check (option string)) "created" t.R.created t'.R.created;
-    Alcotest.(check int) "metric count" (List.length t.R.metrics)
-      (List.length t'.R.metrics);
-    List.iter2
-      (fun (m : R.metric) (m' : R.metric) ->
-        Alcotest.(check string) "name" m.R.name m'.R.name;
-        Alcotest.(check string) "unit" m.R.unit_ m'.R.unit_;
-        Alcotest.(check bool) "kind" true (m.R.kind = m'.R.kind);
-        Alcotest.(check bool) "better" true (m.R.better = m'.R.better);
-        Alcotest.(check (list (float 0.))) "samples" m.R.samples m'.R.samples;
-        Alcotest.(check (float 0.)) "mean" m.R.summary.Stats.Summary.mean
-          m'.R.summary.Stats.Summary.mean)
-      t.R.metrics t'.R.metrics
+  let stamped = J.to_string (with_domains_stamp (R.to_json t)) in
+  Alcotest.(check bool) "stamp added" true (stamped <> R.to_string t);
+  List.iter
+    (fun input ->
+      match R.of_string input with
+      | Error e -> Alcotest.fail e
+      | Ok t' ->
+        Alcotest.(check string) "section" t.R.section t'.R.section;
+        Alcotest.(check (option int)) "seed" t.R.seed t'.R.seed;
+        Alcotest.(check (option string)) "created" t.R.created t'.R.created;
+        Alcotest.(check int) "metric count" (List.length t.R.metrics)
+          (List.length t'.R.metrics);
+        List.iter2
+          (fun (m : R.metric) (m' : R.metric) ->
+            Alcotest.(check string) "name" m.R.name m'.R.name;
+            Alcotest.(check string) "unit" m.R.unit_ m'.R.unit_;
+            Alcotest.(check bool) "kind" true (m.R.kind = m'.R.kind);
+            Alcotest.(check bool) "better" true (m.R.better = m'.R.better);
+            Alcotest.(check (list (float 0.))) "samples" m.R.samples m'.R.samples;
+            Alcotest.(check (float 0.)) "mean" m.R.summary.Stats.Summary.mean
+              m'.R.summary.Stats.Summary.mean)
+          t.R.metrics t'.R.metrics)
+    [ R.to_string t; stamped ]
 
 let test_bench_result_file_roundtrip () =
   let t = sample_result () in

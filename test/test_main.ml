@@ -27,7 +27,6 @@ let () =
       ("ring", Test_ring.suite);
       ("properties", Test_properties.suite);
       ("adapt", Test_adapt.suite);
-      ("parallel", Test_parallel.suite);
       ("check", Test_check.suite);
       ("bench", Test_bench.suite);
     ]

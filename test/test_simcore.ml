@@ -57,6 +57,121 @@ let heap_property =
       let out = drain [] in
       out = List.sort compare keys)
 
+(* {1 Timer wheel} *)
+
+(* Differential check against the reference Heap on an adversarial key
+   sequence: bursts of near keys, far-future keys that overflow into the
+   heap and must migrate back, equal keys that must pop in insertion
+   order, and interleaved pops that drag the cursor forward. *)
+let wheel_matches_heap =
+  QCheck.Test.make ~count:200 ~name:"wheel pops in exact heap order"
+    QCheck.(
+      list
+        (pair (oneofl [ `Push_near; `Push_far; `Push_dup; `Pop ]) small_nat))
+    (fun script ->
+      let w = Simcore.Wheel.create ~dummy:0 () in
+      let h = Simcore.Heap.create () in
+      let floor = ref 0 in
+      let last_key = ref 0 in
+      let check_pop () =
+        match (Simcore.Wheel.pop w, Simcore.Heap.pop h) with
+        | None, None -> true
+        | Some (wk, wv), Some (hk, hv) ->
+          floor := max !floor wk;
+          wk = hk && wv = hv
+        | _ -> false
+      in
+      let ok = ref true in
+      List.iter
+        (fun (op, n) ->
+          if !ok then
+            match op with
+            | `Push_near ->
+              let key = !floor + (n * 97) in
+              last_key := key;
+              Simcore.Wheel.push w ~key n;
+              Simcore.Heap.push h ~key n;
+              ok := Simcore.Wheel.length w = Simcore.Heap.length h
+            | `Push_far ->
+              (* Far beyond the 2^20 ns near window. *)
+              let key = !floor + 2_000_000 + (n * 131) in
+              last_key := key;
+              Simcore.Wheel.push w ~key n;
+              Simcore.Heap.push h ~key n
+            | `Push_dup ->
+              let key = max !floor !last_key in
+              Simcore.Wheel.push w ~key n;
+              Simcore.Heap.push h ~key n
+            | `Pop -> ok := check_pop ())
+        script;
+      while !ok && not (Simcore.Wheel.is_empty w) do
+        ok := check_pop ()
+      done;
+      !ok && Simcore.Heap.is_empty h)
+
+let test_wheel_same_timestamp_fifo () =
+  let w = Simcore.Wheel.create ~dummy:(-1) () in
+  for i = 0 to 99 do
+    Simcore.Wheel.push w ~key:5000 i
+  done;
+  for i = 0 to 99 do
+    match Simcore.Wheel.pop w with
+    | Some (5000, v) -> Alcotest.(check int) "fifo at equal keys" i v
+    | _ -> Alcotest.fail "bad pop"
+  done
+
+let test_wheel_far_migration () =
+  (* Far-future events (beyond the ~1 ms near window) must come back in
+     order, including ties with near events pushed later. *)
+  let w = Simcore.Wheel.create ~dummy:(-1) () in
+  Simcore.Wheel.push w ~key:50_000_000 0;
+  Simcore.Wheel.push w ~key:10 1;
+  Simcore.Wheel.push w ~key:50_000_000 2;
+  Alcotest.(check (option int)) "near first" (Some 10)
+    (Simcore.Wheel.peek_key w);
+  Alcotest.(check bool) "pop near" true (Simcore.Wheel.pop w = Some (10, 1));
+  (* After the cursor jumps 50 ms ahead, a push between the old and new
+     cursor positions must still pop first (cursor rewind). *)
+  Alcotest.(check (option int)) "jump to far" (Some 50_000_000)
+    (Simcore.Wheel.peek_key w);
+  Simcore.Wheel.push w ~key:1_000_000 3;
+  Alcotest.(check bool) "rewound" true (Simcore.Wheel.pop w = Some (1_000_000, 3));
+  Alcotest.(check bool) "far tie order" true
+    (Simcore.Wheel.pop w = Some (50_000_000, 0));
+  Alcotest.(check bool) "far tie order 2" true
+    (Simcore.Wheel.pop w = Some (50_000_000, 2));
+  Alcotest.(check bool) "empty" true (Simcore.Wheel.is_empty w)
+
+let test_wheel_cancel () =
+  let w = Simcore.Wheel.create ~dummy:(-1) () in
+  Simcore.Wheel.push w ~key:100 0;
+  let tok_near = Simcore.Wheel.push_cancellable w ~key:100 1 in
+  let tok_far = Simcore.Wheel.push_cancellable w ~key:9_000_000 2 in
+  Simcore.Wheel.push w ~key:9_000_000 3;
+  Alcotest.(check int) "length counts live" 4 (Simcore.Wheel.length w);
+  Alcotest.(check bool) "cancel near" true (Simcore.Wheel.cancel w tok_near);
+  Alcotest.(check bool) "cancel far" true (Simcore.Wheel.cancel w tok_far);
+  Alcotest.(check bool) "double cancel" false (Simcore.Wheel.cancel w tok_near);
+  Alcotest.(check int) "length after cancel" 2 (Simcore.Wheel.length w);
+  Alcotest.(check bool) "skips near cancel" true
+    (Simcore.Wheel.pop w = Some (100, 0));
+  Alcotest.(check bool) "skips far cancel" true
+    (Simcore.Wheel.pop w = Some (9_000_000, 3));
+  Alcotest.(check bool) "cancel after pop" false
+    (Simcore.Wheel.cancel w tok_near);
+  Alcotest.(check bool) "empty" true (Simcore.Wheel.is_empty w)
+
+let test_wheel_floor_guard () =
+  let w = Simcore.Wheel.create ~dummy:0 () in
+  Simcore.Wheel.push w ~key:500 1;
+  ignore (Simcore.Wheel.pop w);
+  Alcotest.check_raises "below floor"
+    (Invalid_argument "Wheel.push: key below last popped key") (fun () ->
+      Simcore.Wheel.push w ~key:499 2);
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Wheel.push: negative key") (fun () ->
+      Simcore.Wheel.push w ~key:(-1) 2)
+
 let test_engine_order () =
   let e = Simcore.Engine.create () in
   let log = ref [] in
@@ -126,6 +241,26 @@ let rng_float_bounds =
       let v = Simcore.Rng.float rng in
       v >= 0. && v < 1.)
 
+(* {1 Rng streams} *)
+
+let rng_stream_laws =
+  QCheck.Test.make ~count:200 ~name:"rng stream derivation is pure and stable"
+    QCheck.(pair small_nat (pair small_nat small_nat))
+    (fun (seed, (i, j)) ->
+      let draw r = List.init 4 (fun _ -> Simcore.Rng.next_int64 r) in
+      let base () = Simcore.Rng.create ~seed in
+      (* Pure: deriving does not advance the parent, and the same id
+         always yields the same stream regardless of derivation order. *)
+      let t = base () in
+      let a1 = draw (Simcore.Rng.stream t ~id:i) in
+      let a2 = draw (Simcore.Rng.stream t ~id:i) in
+      let parent_untouched = draw t = draw (base ()) in
+      let t2 = base () in
+      let _ = draw (Simcore.Rng.stream t2 ~id:j) in
+      let a3 = draw (Simcore.Rng.stream t2 ~id:i) in
+      a1 = a2 && a1 = a3 && parent_untouched
+      && (i = j || a1 <> draw (Simcore.Rng.stream (base ()) ~id:j)))
+
 let test_stat () =
   let s = Simcore.Stat.create () in
   List.iter (Simcore.Stat.add s) [ 2.; 4.; 6. ];
@@ -192,6 +327,13 @@ let suite =
     Alcotest.test_case "heap FIFO on equal keys" `Quick test_heap_fifo_ties;
     Alcotest.test_case "heap peek/length" `Quick test_heap_peek_and_length;
     QCheck_alcotest.to_alcotest heap_property;
+    QCheck_alcotest.to_alcotest wheel_matches_heap;
+    Alcotest.test_case "wheel same-timestamp fifo" `Quick
+      test_wheel_same_timestamp_fifo;
+    Alcotest.test_case "wheel far migration and rewind" `Quick
+      test_wheel_far_migration;
+    Alcotest.test_case "wheel cancel-while-scheduled" `Quick test_wheel_cancel;
+    Alcotest.test_case "wheel floor guard" `Quick test_wheel_floor_guard;
     Alcotest.test_case "engine event order" `Quick test_engine_order;
     Alcotest.test_case "engine nested scheduling" `Quick test_engine_nested_scheduling;
     Alcotest.test_case "engine rejects the past" `Quick test_engine_past_raises;
@@ -200,6 +342,7 @@ let suite =
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     QCheck_alcotest.to_alcotest rng_bounds;
     QCheck_alcotest.to_alcotest rng_float_bounds;
+    QCheck_alcotest.to_alcotest rng_stream_laws;
     Alcotest.test_case "stat accumulator" `Quick test_stat;
     Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
     Alcotest.test_case "cpu charging" `Quick test_cpu_charge;

@@ -67,12 +67,12 @@ let test_ascii_chart () =
 
 (* {1 Streaming summary laws}
 
-   The fixed-memory quantile summary backs the parallel fabric's
-   latency statistics, so its contract is law-tested: quantiles within
-   the documented relative error of the exact nearest-rank sample, and
-   a merge that is exactly associative and commutative (the property
-   that makes shard-local summaries fold into one global summary
-   bit-identically for every domain count). *)
+   The fixed-memory quantile summary backs the fabric's latency
+   statistics, so its contract is law-tested: quantiles within the
+   documented relative error of the exact nearest-rank sample, and a
+   merge that is exactly associative and commutative (the property
+   that makes per-port summaries fold into one global summary
+   bit-identically in any order). *)
 
 module SS = Stats.Streaming_summary
 
@@ -122,7 +122,7 @@ let streaming_merge_laws =
       SS.equal abc (SS.merge a (SS.merge b c))
       && SS.equal (SS.merge a b) (SS.merge b a)
       && String.equal (SS.digest abc) (SS.digest (SS.merge c (SS.merge b a)))
-      (* merging shards is the same population as one summary fed every
+      (* merging parts is the same population as one summary fed every
          sample, whatever the arrival order *)
       && SS.equal abc (of_list (zs @ xs @ ys))
       && SS.count abc = List.length xs + List.length ys + List.length zs)

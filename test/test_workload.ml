@@ -2,7 +2,7 @@
    latency probe, experiment helpers and the paper-data tables. *)
 
 module Sem = Genie.Semantics
-module E = Workload.Estimate
+module E = Genie.Stage_cost
 
 let costs = Machine.Cost_model.create Machine.Machine_spec.micron_p166
 let params = Net.Net_params.oc3
