@@ -67,7 +67,7 @@ let pdu_frames =
     (fun i ->
       let f = Memory.Phys_mem.alloc pm in
       let n = min 4096 (pdu_len - (i * 4096)) in
-      Bytes.blit payload (i * 4096) f.Memory.Frame.data 0 n;
+      Bytes.blit payload (i * 4096) (Memory.Frame.data f) 0 n;
       f)
 
 let tx_stage_copy () =
@@ -75,7 +75,7 @@ let tx_stage_copy () =
   Array.iteri
     (fun i f ->
       let n = min 4096 (pdu_len - (i * 4096)) in
-      Bytes.blit f.Memory.Frame.data 0 framed (i * 4096) n)
+      Bytes.blit (Memory.Frame.data f) 0 framed (i * 4096) n)
     pdu_frames;
   Bytes.blit tail 0 framed pdu_len tail_len;
   for b = 0 to nbursts - 1 do

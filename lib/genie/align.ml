@@ -82,7 +82,7 @@ let deliver ops ~(buf : Buf.t) ~payload_len ~src_frames ~src_off ~threshold
                 ~len:n (fun ~buf_off src ~off ~len ->
                   Memory.Frame.blit_in src_frames.(j)
                     ~dst_off:(range_lo - page_lo + buf_off)
-                    ~src:src.Memory.Frame.data ~src_off:off ~len);
+                    ~src:(Memory.Frame.data src) ~src_off:off ~len);
               copied := !copied + n
             end
           in

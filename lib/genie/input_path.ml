@@ -364,7 +364,7 @@ let zero_complete (host : Host.t) frames ~off ~len =
         let lo = i * psize and hi = (i + 1) * psize in
         let zero_range a b =
           if b > a then
-            Bytes.fill frame.Memory.Frame.data (a - lo) (b - a) '\x00'
+            Bytes.fill (Memory.Frame.data frame) (a - lo) (b - a) '\x00'
         in
         zero_range lo (min hi off);
         zero_range (max lo (off + len)) hi)

@@ -59,7 +59,7 @@ let copyin_to_system_buffer (host : Host.t) (buf : Buf.t) =
           let i = buf_off / psize and o = buf_off mod psize in
           let n = min remaining (psize - o) in
           Memory.Frame.blit_in frames_arr.(i) ~dst_off:o
-            ~src:src.Memory.Frame.data ~src_off ~len:n;
+            ~src:(Memory.Frame.data src) ~src_off ~len:n;
           put (buf_off + n) (src_off + n) (remaining - n)
         end
       in

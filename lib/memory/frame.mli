@@ -1,7 +1,10 @@
 (** Physical page frames.
 
     A frame carries real backing bytes — all simulated I/O moves data
-    through frames, so end-to-end byte correctness is checkable.  Frames
+    through frames, so end-to-end byte correctness is checkable.  The
+    bytes are born on first touch: a frame's page is allocated, all
+    zero, at the first {!data} (or any call that reads or writes it),
+    so a pool of frames nobody touches costs only their records.  Frames
     also carry the per-page input and output reference counts that
     Genie's page referencing scheme maintains (Section 3.1 of the paper):
     a page with a nonzero count has pending DMA and must not be handed to
@@ -15,9 +18,13 @@ type state =
       (** deallocated while I/O was pending; reclaimed when the last I/O
           reference is dropped (I/O-deferred page deallocation) *)
 
+type page
+(** A frame's bytes, readable only through {!data}. *)
+
 type t = {
   id : int;
-  data : bytes;
+  size : int;  (** page size in bytes *)
+  mutable page : page;
   mutable input_refs : int;
   mutable output_refs : int;
   mutable wired : int;
@@ -29,6 +36,13 @@ type t = {
           is handed out, so [alloc_zeroed] can skip the O(page_size)
           refill without trusting owners to report their writes *)
 }
+
+val make : id:int -> size:int -> t
+(** A [Free], unreferenced, [known_zero] frame whose page is not yet
+    allocated. *)
+
+val data : t -> bytes
+(** The frame's bytes, allocated all-zero on the first call. *)
 
 val io_referenced : t -> bool
 (** True if the frame has pending input or output references. *)

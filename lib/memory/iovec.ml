@@ -15,8 +15,8 @@ let of_bytes ?(off = 0) ?len b =
   make_slice b ~off ~len ~what:"of_bytes"
 
 let of_frame ?(off = 0) ?len (f : Frame.t) =
-  let len = match len with Some l -> l | None -> Bytes.length f.Frame.data - off in
-  make_slice f.Frame.data ~off ~len ~what:"of_frame"
+  let len = match len with Some l -> l | None -> Frame.page_size f - off in
+  make_slice (Frame.data f) ~off ~len ~what:"of_frame"
 
 let concat ts =
   {

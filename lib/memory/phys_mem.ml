@@ -1,10 +1,19 @@
+(* Frames are born on first touch.  Ids at or above [fresh] have never
+   been handed out, and [take_free] serves them in id order before any
+   recycled id; [free] holds only recycled ids, FIFO.  This is the order
+   a queue pre-filled with every id would give.  A frame's record is
+   created at its first hand-out or lookup ([missing] holds its slot
+   until then), and its page at the first access to its bytes. *)
 type t = {
   frames : Frame.t array;
+  mutable fresh : int;
   free : int Queue.t;
   page_size : int;
   mutable zombies : int;
   mutable trace : Simcore.Tracer.scope option;
 }
+
+let missing = Frame.make ~id:(-1) ~size:0
 
 let traced t f =
   match t.trace with
@@ -23,30 +32,28 @@ exception Out_of_frames
 let create spec =
   let page_size = spec.Machine.Machine_spec.page_size in
   let n = Machine.Machine_spec.frame_count spec in
-  let frames =
-    Array.init n (fun id ->
-        {
-          Frame.id;
-          (* Bytes.make (not Bytes.create): the initial known_zero claim
-             must actually be true. *)
-          data = Bytes.make page_size '\x00';
-          input_refs = 0;
-          output_refs = 0;
-          wired = 0;
-          state = Frame.Free;
-          pageable = false;
-          known_zero = true;
-        })
-  in
-  let free = Queue.create () in
-  Array.iter (fun (f : Frame.t) -> Queue.add f.Frame.id free) frames;
-  { frames; free; page_size; zombies = 0; trace = None }
+  {
+    frames = Array.make n missing;
+    fresh = 0;
+    free = Queue.create ();
+    page_size;
+    zombies = 0;
+    trace = None;
+  }
 
 let page_size t = t.page_size
 let set_trace_scope t scope = t.trace <- Some scope
 let total_frames t = Array.length t.frames
-let free_frames t = Queue.length t.free
-let frame_by_id t id = t.frames.(id)
+let free_frames t = total_frames t - t.fresh + Queue.length t.free
+
+let frame_by_id t id =
+  let frame = t.frames.(id) in
+  if frame != missing then frame
+  else begin
+    let frame = Frame.make ~id ~size:t.page_size in
+    t.frames.(id) <- frame;
+    frame
+  end
 
 (* Debug switch: poison freshly allocated frames with 0xAA so consumers
    that rely on uninitialized frame contents trip byte-correctness
@@ -55,14 +62,21 @@ let frame_by_id t id = t.frames.(id)
 let debug_poison = ref false
 
 let take_free t =
-  match Queue.take_opt t.free with
-  | None -> raise Out_of_frames
-  | Some id ->
-    let frame = t.frames.(id) in
-    assert (frame.Frame.state = Frame.Free);
-    frame.Frame.state <- Frame.Allocated;
-    count t "frame_allocs";
-    frame
+  let id =
+    if t.fresh < total_frames t then begin
+      t.fresh <- t.fresh + 1;
+      t.fresh - 1
+    end
+    else
+      match Queue.take_opt t.free with
+      | None -> raise Out_of_frames
+      | Some id -> id
+  in
+  let frame = frame_by_id t id in
+  assert (frame.Frame.state = Frame.Free);
+  frame.Frame.state <- Frame.Allocated;
+  count t "frame_allocs";
+  frame
 
 let alloc t =
   let frame = take_free t in
@@ -147,4 +161,6 @@ let adopt t (frame : Frame.t) =
   | Frame.Free -> invalid_arg "Phys_mem.adopt: frame is free"
 
 let zombie_count t = t.zombies
-let free_ids t = List.of_seq (Queue.to_seq t.free)
+let free_ids t =
+  List.init (total_frames t - t.fresh) (fun i -> t.fresh + i)
+  @ List.of_seq (Queue.to_seq t.free)

@@ -12,7 +12,11 @@ type t
 exception Out_of_frames
 
 val create : Machine.Machine_spec.t -> t
-(** Frame pool sized to the machine's physical memory. *)
+(** Frame pool sized to the machine's physical memory.  It allocates no
+    frame: a frame's record is created when it is first handed out or
+    looked up ({!frame_by_id}), and its page when its bytes are first
+    touched (see {!Frame.data}), so creation costs O(frame count) words,
+    not the configured memory. *)
 
 val page_size : t -> int
 val total_frames : t -> int
@@ -61,10 +65,13 @@ val zombie_count : t -> int
 (** Number of frames awaiting reclamation (for tests and monitoring). *)
 
 val frame_by_id : t -> int -> Frame.t
+(** The frame with this id, [0 <= id < total_frames t], creating its
+    record if it was never handed out. *)
 
 val free_ids : t -> int list
-(** Contents of the free list, in allocation order (for the invariant
-    checker). *)
+(** Contents of the free list, in allocation order: never-allocated ids
+    ascending, then recycled ids in the order they were freed (for the
+    invariant checker). *)
 
 val debug_poison : bool ref
 (** Poison frames with [0xAA] on allocation (the historical default).

@@ -131,8 +131,7 @@ let alloc_pressured_zeroed t =
   | frame -> frame
   | exception Memory.Phys_mem.Out_of_frames ->
     let frame = take_reserve t in
-    Bytes.fill frame.Memory.Frame.data 0
-      (Bytes.length frame.Memory.Frame.data) '\x00';
+    Memory.Frame.fill frame '\x00';
     frame
 
 let materialize t obj idx =
@@ -140,7 +139,7 @@ let materialize t obj idx =
   | Some (Memory_object.Resident frame) -> frame
   | Some (Memory_object.Swapped slot) ->
     let frame = alloc_pressured t in
-    Memory.Backing_store.page_in t.backing slot frame.Memory.Frame.data;
+    Memory.Backing_store.page_in t.backing slot (Memory.Frame.data frame);
     insert_page t obj idx frame;
     frame
   | None -> invalid_arg "Vm_sys.materialize: object has no such page"
@@ -149,7 +148,7 @@ let evict_frame t (frame : Memory.Frame.t) =
   match Hashtbl.find_opt t.frame_owner frame.Memory.Frame.id with
   | None -> false
   | Some (obj, idx) ->
-    let slot = Memory.Backing_store.page_out t.backing frame.Memory.Frame.data in
+    let slot = Memory.Backing_store.page_out t.backing (Memory.Frame.data frame) in
     List.iter (fun unmap -> unmap frame) t.unmappers;
     Memory_object.set_slot obj idx (Memory_object.Swapped slot);
     Hashtbl.remove t.frame_owner frame.Memory.Frame.id;

@@ -18,7 +18,7 @@ let test_alloc_free () =
   Alcotest.(check int) "256 frames" 256 total;
   let f = Memory.Phys_mem.alloc pm in
   Alcotest.(check int) "one taken" (total - 1) (Memory.Phys_mem.free_frames pm);
-  Alcotest.(check char) "poisoned" '\xAA' (Bytes.get f.Memory.Frame.data 0);
+  Alcotest.(check char) "poisoned" '\xAA' (Bytes.get (Memory.Frame.data f) 0);
   Memory.Phys_mem.deallocate pm f;
   Alcotest.(check int) "returned" total (Memory.Phys_mem.free_frames pm)
 
@@ -26,7 +26,7 @@ let test_alloc_zeroed () =
   let pm = fresh () in
   let f = Memory.Phys_mem.alloc_zeroed pm in
   Alcotest.(check bool) "all zero" true
-    (Bytes.for_all (fun c -> c = '\x00') f.Memory.Frame.data)
+    (Bytes.for_all (fun c -> c = '\x00') (Memory.Frame.data f))
 
 let test_exhaustion () =
   let pm = fresh () in
@@ -47,7 +47,7 @@ let test_deferred_deallocation () =
      not reach the free list until the last reference drops. *)
   let pm = fresh () in
   let f = Memory.Phys_mem.alloc pm in
-  Bytes.set f.Memory.Frame.data 0 'D';
+  Bytes.set (Memory.Frame.data f) 0 'D';
   Memory.Phys_mem.ref_output pm f;
   Memory.Phys_mem.ref_output pm f;
   let free_before = Memory.Phys_mem.free_frames pm in
@@ -55,7 +55,7 @@ let test_deferred_deallocation () =
   Alcotest.(check int) "not freed yet" free_before (Memory.Phys_mem.free_frames pm);
   Alcotest.(check int) "zombie" 1 (Memory.Phys_mem.zombie_count pm);
   Alcotest.(check char) "data still readable by DMA" 'D'
-    (Bytes.get f.Memory.Frame.data 0);
+    (Bytes.get (Memory.Frame.data f) 0);
   Memory.Phys_mem.unref_output pm f;
   Alcotest.(check int) "still held" free_before (Memory.Phys_mem.free_frames pm);
   Memory.Phys_mem.unref_output pm f;
@@ -97,17 +97,208 @@ let test_alloc_zeroed_after_reuse () =
      skip the fill. *)
   let pm = fresh () in
   let f = Memory.Phys_mem.alloc pm in
-  Bytes.set f.Memory.Frame.data 17 'X';
+  Bytes.set (Memory.Frame.data f) 17 'X';
   Memory.Phys_mem.deallocate pm f;
   let total = Memory.Phys_mem.total_frames pm in
   let all_zero (g : Memory.Frame.t) =
-    Bytes.for_all (fun c -> c = '\x00') g.Memory.Frame.data
+    Bytes.for_all (fun c -> c = '\x00') (Memory.Frame.data g)
   in
   (* Drain the whole free list; every zeroed allocation (including the
      recycled dirty frame, wherever the queue put it) must be clean. *)
   for _ = 1 to total do
     Alcotest.(check bool) "zeroed" true (all_zero (Memory.Phys_mem.alloc_zeroed pm))
   done
+
+let test_untouched_recycled_frame () =
+  (* Frames handed out and freed without their bytes ever being touched:
+     the next hand-out still refills them, allocating their page. *)
+  let pm = fresh () in
+  let total = Memory.Phys_mem.total_frames pm in
+  List.iter (Memory.Phys_mem.deallocate pm) (Memory.Phys_mem.alloc_many pm total);
+  let all c (f : Memory.Frame.t) =
+    Memory.Frame.page_size f = 4096
+    && Bytes.for_all (fun b -> b = c) (Memory.Frame.data f)
+  in
+  Alcotest.(check bool) "zeroed" true (all '\x00' (Memory.Phys_mem.alloc_zeroed pm));
+  with_poison @@ fun () ->
+  Alcotest.(check bool) "poisoned" true (all '\xAA' (Memory.Phys_mem.alloc pm))
+
+let test_create_allocates_no_pages () =
+  (* Frames are born on first touch: creating a 32 MB host costs words
+     per frame, not the configured memory. *)
+  let spec = Machine.Machine_spec.micron_p166 in
+  let before = Gc.allocated_bytes () in
+  let pm = Sys.opaque_identity (Memory.Phys_mem.create spec) in
+  let cost = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "8192 frames" 8192 (Memory.Phys_mem.total_frames pm);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes allocated" cost)
+    true
+    (cost < 16. *. float_of_int (Memory.Phys_mem.total_frames pm))
+
+(* {1 Phys_mem against the eager model} *)
+
+type op =
+  | Alloc
+  | Alloc_zeroed
+  | Alloc_many of int
+  | Deallocate of int  (** the n-th held frame, modulo *)
+  | Ref_input of int
+  | Ref_output of int
+  | Unref_input of int
+  | Unref_output of int
+  | Adopt of int
+  | Write of int * int * char  (** held frame, offset, byte *)
+  | Lookup of int  (** any frame id, modulo *)
+  | Poison of bool
+
+let show_op = function
+  | Alloc -> "alloc"
+  | Alloc_zeroed -> "alloc_zeroed"
+  | Alloc_many n -> Printf.sprintf "alloc_many %d" n
+  | Deallocate i -> Printf.sprintf "deallocate %d" i
+  | Ref_input i -> Printf.sprintf "ref_input %d" i
+  | Ref_output i -> Printf.sprintf "ref_output %d" i
+  | Unref_input i -> Printf.sprintf "unref_input %d" i
+  | Unref_output i -> Printf.sprintf "unref_output %d" i
+  | Adopt i -> Printf.sprintf "adopt %d" i
+  | Write (i, off, c) -> Printf.sprintf "write %d @%d %C" i off c
+  | Lookup id -> Printf.sprintf "frame_by_id %d" id
+  | Poison b -> Printf.sprintf "debug_poison %b" b
+
+let op_gen =
+  QCheck.Gen.(
+    let i = int_bound 63 in
+    frequency
+      [
+        (6, return Alloc);
+        (5, return Alloc_zeroed);
+        (3, map (fun n -> Alloc_many n) (int_bound 20));
+        (8, map (fun i -> Deallocate i) i);
+        (3, map (fun i -> Ref_input i) i);
+        (3, map (fun i -> Ref_output i) i);
+        (3, map (fun i -> Unref_input i) i);
+        (3, map (fun i -> Unref_output i) i);
+        (1, map (fun i -> Adopt i) i);
+        (4, map3 (fun i off c -> Write (i, off, c)) i nat char);
+        (2, map (fun id -> Lookup id) i);
+        (1, map (fun b -> Poison b) bool);
+      ])
+
+let script =
+  QCheck.make
+    ~print:(fun (poison, ops) ->
+      Printf.sprintf "poison=%b: %s" poison
+        (String.concat "; " (List.map show_op ops)))
+    QCheck.Gen.(pair bool (list_size (int_range 1 80) op_gen))
+
+(* 16 frames, so scripts reach exhaustion and recycle ids. *)
+let model_spec = { spec with Machine.Machine_spec.page_size = 65536 }
+
+module PM = Memory.Phys_mem
+module F = Memory.Frame
+module M = Phys_mem_model
+
+let same_state (f : F.t) (mf : M.frame) =
+  match (f.F.state, mf.M.state) with
+  | F.Free, M.Free | F.Allocated, M.Allocated | F.Zombie, M.Zombie -> true
+  | _ -> false
+
+let phys_mem_matches_model =
+  QCheck.Test.make ~name:"phys_mem matches the eager model on random scripts"
+    ~count:200 script (fun (poison, ops) ->
+      PM.debug_poison := poison;
+      Fun.protect ~finally:(fun () -> PM.debug_poison := false) @@ fun () ->
+      let pm = PM.create model_spec in
+      let m = M.create ~frames:(PM.total_frames pm) ~page_size:(PM.page_size pm) in
+      let same_frame ((f : F.t), (mf : M.frame)) =
+        f.F.id = mf.M.id && same_state f mf
+        && f.F.input_refs = mf.M.input_refs
+        && f.F.output_refs = mf.M.output_refs
+        && Bytes.equal (F.data f) mf.M.data
+        && PM.frame_by_id pm f.F.id == f
+      in
+      (* (frame, model frame) pairs handed out and not yet back on the
+         free list, in hand-out order. *)
+      let held = ref [] in
+      (* What a step checks itself: the same ids handed out (or the same
+         exhaustion), the same frame looked up. *)
+      let step_ok = ref true in
+      let on_held pred i f =
+        match List.filter pred !held with
+        | [] -> ()
+        | l -> f (List.nth l (i mod List.length l))
+      in
+      let hand_out real model =
+        match real () with
+        | frames ->
+          let mframes = model () in
+          step_ok :=
+            List.map (fun (f : F.t) -> f.F.id) frames
+            = List.map (fun (f : M.frame) -> f.M.id) mframes;
+          if !step_ok then held := !held @ List.combine frames mframes
+        | exception PM.Out_of_frames ->
+          step_ok :=
+            (match model () with _ -> false | exception M.Out_of_frames -> true)
+      in
+      let any _ = true in
+      let allocated ((f : F.t), _) = f.F.state = F.Allocated in
+      let step = function
+        | Alloc -> hand_out (fun () -> [ PM.alloc pm ]) (fun () -> [ M.alloc m ])
+        | Alloc_zeroed ->
+          hand_out (fun () -> [ PM.alloc_zeroed pm ]) (fun () -> [ M.alloc_zeroed m ])
+        | Alloc_many n ->
+          hand_out (fun () -> PM.alloc_many pm n) (fun () -> M.alloc_many m n)
+        | Deallocate i ->
+          on_held allocated i (fun (f, mf) ->
+              PM.deallocate pm f;
+              M.deallocate m mf)
+        | Ref_input i ->
+          on_held any i (fun (f, mf) ->
+              PM.ref_input pm f;
+              M.ref_input mf)
+        | Ref_output i ->
+          on_held any i (fun (f, mf) ->
+              PM.ref_output pm f;
+              M.ref_output mf)
+        | Unref_input i ->
+          on_held (fun (f, _) -> f.F.input_refs > 0) i (fun (f, mf) ->
+              PM.unref_input pm f;
+              M.unref_input m mf)
+        | Unref_output i ->
+          on_held (fun (f, _) -> f.F.output_refs > 0) i (fun (f, mf) ->
+              PM.unref_output pm f;
+              M.unref_output m mf)
+        | Adopt i ->
+          on_held any i (fun (f, mf) ->
+              PM.adopt pm f;
+              M.adopt m mf)
+        | Write (i, off, c) ->
+          on_held any i (fun (f, mf) ->
+              let off = off mod PM.page_size pm in
+              Bytes.set (F.data f) off c;
+              Bytes.set mf.M.data off c)
+        | Lookup id ->
+          let id = id mod PM.total_frames pm in
+          step_ok := same_frame (PM.frame_by_id pm id, M.frame_by_id m id)
+        | Poison b -> PM.debug_poison := b
+      in
+      let agree () =
+        let ok =
+          !step_ok
+          && PM.free_frames pm = M.free_frames m
+          && PM.free_ids pm = M.free_ids m
+          && PM.zombie_count pm = M.zombie_count m
+          && List.for_all same_frame !held
+        in
+        held := List.filter (fun ((f : F.t), _) -> f.F.state <> F.Free) !held;
+        ok
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          agree ())
+        ops)
 
 let test_buf_pool_classes () =
   let pool = Memory.Buf_pool.create () in
@@ -159,7 +350,7 @@ let test_unref_without_ref_raises () =
 
 let make_frame pm s =
   let f = Memory.Phys_mem.alloc pm in
-  Bytes.blit_string s 0 f.Memory.Frame.data 0 (String.length s);
+  Bytes.blit_string s 0 (Memory.Frame.data f) 0 (String.length s);
   f
 
 let test_desc_gather_scatter () =
@@ -181,9 +372,9 @@ let test_desc_gather_scatter () =
   Alcotest.(check string) "scatter across segs" "BBxyzCC"
     (Bytes.to_string (Memory.Io_desc.gather desc ~off:0 ~len:7));
   Alcotest.(check string) "frame 1 updated" "AAAABBxy"
-    (Bytes.sub_string f1.Memory.Frame.data 0 8);
+    (Bytes.sub_string (Memory.Frame.data f1) 0 8);
   Alcotest.(check string) "frame 2 updated" "zCCC"
-    (Bytes.sub_string f2.Memory.Frame.data 0 4)
+    (Bytes.sub_string (Memory.Frame.data f2) 0 4)
 
 let test_desc_bounds () =
   let pm = fresh () in
@@ -311,6 +502,9 @@ let suite =
     Alcotest.test_case "alloc_many partial exhaustion" `Quick
       test_alloc_many_partial_exhaustion;
     Alcotest.test_case "alloc_zeroed after reuse" `Quick test_alloc_zeroed_after_reuse;
+    Alcotest.test_case "untouched recycled frame" `Quick test_untouched_recycled_frame;
+    Alcotest.test_case "create allocates no pages" `Quick test_create_allocates_no_pages;
+    QCheck_alcotest.to_alcotest phys_mem_matches_model;
     Alcotest.test_case "buf_pool size classes" `Quick test_buf_pool_classes;
     Alcotest.test_case "buf_pool reuse" `Quick test_buf_pool_reuse;
     Alcotest.test_case "buf_pool poison" `Quick test_buf_pool_poison;

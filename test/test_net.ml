@@ -2,12 +2,17 @@
    and the adapter's three RX buffering architectures. *)
 
 let test_crc32_vectors () =
-  (* Standard check value for CRC-32/IEEE. *)
-  Alcotest.(check int32) "123456789" 0xCBF43926l
-    (Net.Crc32.digest (Bytes.of_string "123456789"));
-  Alcotest.(check int32) "empty" 0l
-    (Int32.logxor (Net.Crc32.digest Bytes.empty) 0l |> fun x ->
-     if x = 0l then 0l else x |> fun _ -> Net.Crc32.digest Bytes.empty)
+  (* Standard check values for CRC-32/IEEE. *)
+  Alcotest.(check int32) "empty" 0l (Net.Crc32.digest Bytes.empty);
+  List.iter
+    (fun (s, crc) ->
+      Alcotest.(check int32) s crc (Net.Crc32.digest (Bytes.of_string s)))
+    [
+      ("a", 0xE8B7BE43l);
+      ("abc", 0x352441C2l);
+      ("123456789", 0xCBF43926l);
+      ("The quick brown fox jumps over the lazy dog", 0x414FA339l);
+    ]
 
 let test_crc32_incremental () =
   let data = Bytes.of_string "the quick brown fox jumps over the lazy dog" in
@@ -16,6 +21,64 @@ let test_crc32_incremental () =
   let c = Net.Crc32.update Net.Crc32.init data ~off:0 ~len:split in
   let c = Net.Crc32.update c data ~off:split ~len:(Bytes.length data - split) in
   Alcotest.(check int32) "incremental = one-shot" oneshot (Net.Crc32.finish c)
+
+(* Random (seed CRC, buffer, offset, length).  Lengths 0-7, the empty
+   range included, get their own share of cases. *)
+let crc_case =
+  QCheck.make
+    ~print:(fun (seed, s, off, len) ->
+      Printf.sprintf "seed=%ld buf=%d bytes off=%d len=%d" seed (String.length s) off
+        len)
+    QCheck.Gen.(
+      let* seed = ui32 and* off = int_bound 17 in
+      let* len = frequency [ (1, int_bound 7); (3, int_bound 300) ] in
+      let* slack = int_bound 9 in
+      let+ s = string_size (return (off + len + slack)) in
+      (seed, s, off, len))
+
+let crc32_matches_oracle =
+  QCheck.Test.make ~name:"crc32 update equals the byte-at-a-time oracle" ~count:2000
+    crc_case (fun (seed, s, off, len) ->
+      let b = Bytes.of_string s in
+      Net.Crc32.update seed b ~off ~len = Crc32_oracle.update seed b ~off ~len)
+
+(* Ranges that reach outside the buffer, with [len > 0]: the oracle
+   raises only once it reads a byte out of range. *)
+let crc32_rejects_bad_ranges =
+  QCheck.Test.make ~name:"crc32 update rejects out-of-range off/len" ~count:300
+    QCheck.(triple (int_bound 40) (int_range (-20) 60) (int_range 1 60))
+    (fun (n, off, len) ->
+      QCheck.assume (off < 0 || off + len > n);
+      let b = Bytes.make n 'x' in
+      let raises f =
+        match f Net.Crc32.init b ~off ~len with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      raises Net.Crc32.update && raises Crc32_oracle.update)
+
+(* AAL5 folds the CRC over an iovec's slices ([Aal5.crc_iov]); any split
+   of the payload, at any offsets into the underlying buffers, must give
+   the one-shot CRC. *)
+let crc32_iovec_split =
+  QCheck.Test.make ~name:"crc32 folded over iovec slices equals one-shot" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 1 6) (triple (int_bound 11) string (int_bound 11)))
+    (fun pieces ->
+      let iov =
+        Memory.Iovec.concat
+          (List.map
+             (fun (pre, s, post) ->
+               let base = Bytes.make (pre + String.length s + post) '\xEE' in
+               Bytes.blit_string s 0 base pre (String.length s);
+               Memory.Iovec.of_bytes base ~off:pre ~len:(String.length s))
+             pieces)
+      in
+      let folded =
+        Memory.Iovec.fold iov ~init:Net.Crc32.init ~f:(fun c base ~off ~len ->
+            Net.Crc32.update c base ~off ~len)
+      in
+      Net.Crc32.finish folded = Net.Crc32.digest (Memory.Iovec.to_bytes iov))
 
 let test_aal5_math () =
   Alcotest.(check int) "1 byte -> 1 cell" 1 (Net.Aal5.cells_for_len 1);
@@ -57,8 +120,8 @@ let test_aal5_iov_equivalence () =
   let spec = { Machine.Machine_spec.micron_p166 with Machine.Machine_spec.memory_mb = 1 } in
   let pm = Memory.Phys_mem.create spec in
   let f1 = Memory.Phys_mem.alloc pm and f2 = Memory.Phys_mem.alloc pm in
-  Bytes.blit payload 0 f1.Memory.Frame.data 96 4000;
-  Bytes.blit payload 4000 f2.Memory.Frame.data 0 1000;
+  Bytes.blit payload 0 (Memory.Frame.data f1) 96 4000;
+  Bytes.blit payload 4000 (Memory.Frame.data f2) 0 1000;
   let scattered =
     Memory.Iovec.concat
       [
@@ -129,7 +192,7 @@ let adapter_pair () =
 
 let frame_with pm s =
   let f = Memory.Phys_mem.alloc pm in
-  Bytes.blit_string s 0 f.Memory.Frame.data 0 (String.length s);
+  Bytes.blit_string s 0 (Memory.Frame.data f) 0 (String.length s);
   f
 
 let test_adapter_early_demux () =
@@ -162,9 +225,9 @@ let test_adapter_early_demux () =
     Alcotest.(check bool) "no overrun" false overrun;
     Alcotest.(check bool) "crc ok" true crc_ok;
     Alcotest.(check string) "payload scattered in place" "PAYLOAD-DATA"
-      (Bytes.sub_string dst.Memory.Frame.data 100 12);
+      (Bytes.sub_string (Memory.Frame.data dst) 100 12);
     Alcotest.(check string) "header captured" "HDR!"
-      (Bytes.sub_string hdrbuf.Memory.Frame.data 0 4)
+      (Bytes.sub_string (Memory.Frame.data hdrbuf) 0 4)
   | Some _ -> Alcotest.fail "expected demuxed completion"
   | None -> Alcotest.fail "no completion"
 
@@ -188,7 +251,7 @@ let test_adapter_pooled_fallback () =
     (match frames with
     | [ f ] ->
       Alcotest.(check string) "header-first layout" "HHFALLBACK"
-        (Bytes.sub_string f.Memory.Frame.data 0 10)
+        (Bytes.sub_string (Memory.Frame.data f) 0 10)
     | _ -> Alcotest.fail "expected one pool page")
   | Some _ -> Alcotest.fail "expected pooled completion"
   | None -> Alcotest.fail "no completion"
@@ -202,7 +265,7 @@ let test_adapter_pooled_multi_page () =
     List.init 3 (fun i ->
         let f = Memory.Phys_mem.alloc pm in
         let n = min 4096 (payload_len - (i * 4096)) in
-        Bytes.blit payload (i * 4096) f.Memory.Frame.data 0 n;
+        Bytes.blit payload (i * 4096) (Memory.Frame.data f) 0 n;
         f)
   in
   let segs =
@@ -263,7 +326,7 @@ let test_adapter_tx_serializes () =
       | Net.Adapter.Pooled_chain { frames; hdr_len; _ } ->
         let f = List.hd frames in
         completions :=
-          (Bytes.sub_string f.Memory.Frame.data hdr_len 1,
+          (Bytes.sub_string (Memory.Frame.data f) hdr_len 1,
            Simcore.Sim_time.to_us (Simcore.Engine.now engine))
           :: !completions
       | _ -> ());
@@ -344,15 +407,18 @@ let test_weak_gather_mid_transmission () =
     Alcotest.(check bool) "crc still consistent (gathered = received)" true crc_ok;
     let first = List.hd rx and last = List.nth rx 9 in
     Alcotest.(check char) "head transmitted before overwrite" 'A'
-      (Bytes.get first.Memory.Frame.data 0);
+      (Bytes.get (Memory.Frame.data first) 0);
     Alcotest.(check char) "tail transmitted after overwrite" 'B'
-      (Bytes.get last.Memory.Frame.data (len mod 4096 + 4000 - 4000))
+      (Bytes.get (Memory.Frame.data last) (len mod 4096 + 4000 - 4000))
   | _ -> Alcotest.fail "expected pooled completion"
 
 let suite =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
     Alcotest.test_case "crc32 incremental" `Quick test_crc32_incremental;
+    QCheck_alcotest.to_alcotest crc32_matches_oracle;
+    QCheck_alcotest.to_alcotest crc32_rejects_bad_ranges;
+    QCheck_alcotest.to_alcotest crc32_iovec_split;
     Alcotest.test_case "aal5 cell math" `Quick test_aal5_math;
     Alcotest.test_case "aal5 roundtrip" `Quick test_aal5_roundtrip;
     Alcotest.test_case "aal5 corruption detection" `Quick test_aal5_detects_corruption;

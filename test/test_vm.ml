@@ -85,7 +85,7 @@ let test_tcow_copy_during_output () =
      the output unchanged. *)
   As.write space ~addr (Bytes.of_string "SCRIBBLE");
   Alcotest.(check string) "old frame keeps output data" "ORIGINAL"
-    (Bytes.sub_string old_frame.Memory.Frame.data 0 8);
+    (Bytes.sub_string (Memory.Frame.data old_frame) 0 8);
   Alcotest.(check string) "app sees new data" "SCRIBBLE"
     (Bytes.to_string (As.read space ~addr ~len:8));
   Alcotest.(check bool) "app now maps a different frame" true
@@ -344,11 +344,11 @@ let test_swap_into_region () =
   let addr = base region in
   As.write space ~addr (Bytes.of_string "OLDPAGE");
   let incoming = Memory.Phys_mem.alloc vm.Vm.Vm_sys.phys in
-  Bytes.blit_string "NEWPAGE" 0 incoming.Memory.Frame.data 0 7;
+  Bytes.blit_string "NEWPAGE" 0 (Memory.Frame.data incoming) 0 7;
   (match As.swap_into_region space region ~page:0 incoming with
   | Some displaced ->
     Alcotest.(check string) "displaced carries old data" "OLDPAGE"
-      (Bytes.sub_string displaced.Memory.Frame.data 0 7)
+      (Bytes.sub_string (Memory.Frame.data displaced) 0 7)
   | None -> Alcotest.fail "expected a displaced frame");
   Alcotest.(check string) "app sees the swapped-in page" "NEWPAGE"
     (Bytes.to_string (As.read space ~addr ~len:7))
