@@ -545,12 +545,7 @@ let all : (string * (R.collector -> unit)) list =
     ("table7", table7); ("table8", table8); ("wall_data", Wall_metrics.run);
   ]
 
-(* Legacy spellings still accepted on the command line. *)
-let aliases = [ ("bechamel", "micro_bench"); ("ablation", "ablations") ]
 let names () = List.map fst all
-
-let resolve name =
-  if List.mem_assoc name all then Some name else List.assoc_opt name aliases
 
 let timestamp () =
   let t = Unix.gmtime (Unix.time ()) in

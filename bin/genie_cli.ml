@@ -532,7 +532,9 @@ let bench_run_cmd =
       | args when List.mem "all" args -> Sections.names ()
       | args -> args
     in
-    let unknown = List.filter (fun n -> Sections.resolve n = None) requested in
+    let unknown =
+      List.filter (fun n -> not (List.mem n (Sections.names ()))) requested
+    in
     if unknown <> [] then begin
       Printf.eprintf "unknown section%s %s (available: %s)\n"
         (if List.length unknown > 1 then "s" else "")
@@ -547,7 +549,6 @@ let bench_run_cmd =
     let failures =
       List.filter_map
         (fun name ->
-          let name = Option.get (Sections.resolve name) in
           match Sections.run_one ~out_dir name with
           | Ok (Some path) ->
             Printf.printf "[bench] wrote %s\n" path;

@@ -653,41 +653,48 @@ let run ?trace cfg =
     let len = pick rng !cur_sizes in
     incr started;
     let id = !started in
-    let ao, reused, buf = send_buffer ~id send send_sem len in
-    Genie.Buf.fill_pattern buf ~seed:id;
-    let handle =
-      if orphan then begin
-        incr faults;
-        None
-      end
-      else post_input recv vc recv_sem len
-    in
-    let ep_out = List.assoc vc send.s_eps in
-    (match
-       Genie.Endpoint.output ep_out ~sem:send_sem ~buf ~seq:id
-         ~on_complete:(fun () ->
-           match ao with Some ao -> ao.ao_done <- true | None -> ())
-         ()
-     with
-    | Ok _ ->
-        Hashtbl.replace sent_meta id len;
-        if a_to_b then adapt_note ~len;
-        note "transfer#%d %s->%s vc=%d out=%s in=%s len=%d%s%s" id (sname send)
-          (sname recv) vc (Sem.name send_sem)
-          (if handle = None then "(none)" else Sem.name recv_sem)
-          len
-          (if reused then " reused-region" else "")
-          (if orphan then " RECEIVER-ABSENT" else "")
-    | Error `Again ->
-        (* Backpressure: nothing was sent, so the posted input would wait
-           forever — cancel it to keep the accounting closed. *)
+    match send_buffer ~id send send_sem len with
+    | exception Memory.Phys_mem.Out_of_frames ->
+        (* Mapping the send buffer ran out of frames (the region is
+           already gone) and no input is posted yet: nothing to undo. *)
         incr rejected;
-        (match ao with Some ao -> ao.ao_done <- true | None -> ());
-        (match handle with
-        | Some h -> if Genie.Endpoint.cancel h then decr live
-        | None -> ());
-        note "transfer#%d %s->%s vc=%d out=%s len=%d REJECTED (backpressure)"
-          id (sname send) (sname recv) vc (Sem.name send_sem) len)
+        note "transfer#%d %s->%s vc=%d out=%s len=%d REJECTED (no frames)" id
+          (sname send) (sname recv) vc (Sem.name send_sem) len
+    | ao, reused, buf ->
+        Genie.Buf.fill_pattern buf ~seed:id;
+        let handle =
+          if orphan then begin
+            incr faults;
+            None
+          end
+          else post_input recv vc recv_sem len
+        in
+        let ep_out = List.assoc vc send.s_eps in
+        (match
+           Genie.Endpoint.output ep_out ~sem:send_sem ~buf ~seq:id
+             ~on_complete:(fun () ->
+               match ao with Some ao -> ao.ao_done <- true | None -> ())
+             ()
+         with
+        | Ok _ ->
+            Hashtbl.replace sent_meta id len;
+            if a_to_b then adapt_note ~len;
+            note "transfer#%d %s->%s vc=%d out=%s in=%s len=%d%s%s" id (sname send)
+              (sname recv) vc (Sem.name send_sem)
+              (if handle = None then "(none)" else Sem.name recv_sem)
+              len
+              (if reused then " reused-region" else "")
+              (if orphan then " RECEIVER-ABSENT" else "")
+        | Error `Again ->
+            (* Backpressure: nothing was sent, so the posted input would wait
+               forever — cancel it to keep the accounting closed. *)
+            incr rejected;
+            (match ao with Some ao -> ao.ao_done <- true | None -> ());
+            (match handle with
+            | Some h -> if Genie.Endpoint.cancel h then decr live
+            | None -> ());
+            note "transfer#%d %s->%s vc=%d out=%s len=%d REJECTED (backpressure)"
+              id (sname send) (sname recv) vc (Sem.name send_sem) len)
   in
 
   (* --- the batched ring path ---------------------------------------- *)
@@ -792,24 +799,36 @@ let run ?trace cfg =
         note "batch cancel input #%d on %s vc=%d" i (sname recv) vc
       end
     end;
-    (* sender: one batched submit of all k outputs *)
-    let out_meta = Array.make k (0, 0, None, false) in
+    (* sender: one batched submit of the k outputs whose buffers could
+       be mapped; [out_meta] keeps each submitted entry's message index *)
+    let out_meta = ref [] in
     let out_subs = ref [] in
     Array.iteri
       (fun i (id, send_sem, _, len) ->
-        let ao, reused, buf = send_buffer ~id send send_sem len in
-        Genie.Buf.fill_pattern buf ~seed:id;
-        out_meta.(i) <- (id, len, ao, reused);
-        out_subs :=
-          Genie.Endpoint.Sub_output { sem = send_sem; buf; seq = Some id }
-          :: !out_subs)
+        match send_buffer ~id send send_sem len with
+        | exception Memory.Phys_mem.Out_of_frames ->
+            (* No frames for the send buffer: the transfer is rejected
+               before submission, so its posted input would wait
+               forever — cancel it. *)
+            incr rejected;
+            ignore (uncancel_input i);
+            note "transfer#%d %s->%s vc=%d out=%s len=%d REJECTED (no \
+                  frames) batched"
+              id (sname send) (sname recv) vc (Sem.name send_sem) len
+        | ao, reused, buf ->
+            Genie.Buf.fill_pattern buf ~seed:id;
+            out_meta := (i, id, len, ao, reused) :: !out_meta;
+            out_subs :=
+              Genie.Endpoint.Sub_output { sem = send_sem; buf; seq = Some id }
+              :: !out_subs)
       msgs;
+    let out_meta = Array.of_list (List.rev !out_meta) in
     let out_subs = Array.of_list (List.rev !out_subs) in
     let send_ep = List.assoc vc send.s_eps in
     let out_outcomes = Genie.Endpoint.submit_batch send_ep out_subs in
     Array.iteri
-      (fun i outcome ->
-        let id, len, ao, reused = out_meta.(i) in
+      (fun j outcome ->
+        let i, id, len, ao, reused = out_meta.(j) in
         let _, send_sem, recv_sem, _ = msgs.(i) in
         match outcome with
         | Genie.Endpoint.Out_accepted _ ->

@@ -91,6 +91,20 @@ let buffer_page_range (host : Host.t) (buf : Buf.t) (region : Vm.Region.t) =
   let first = (buf.Buf.addr / psize) - region.Vm.Region.start_vpn in
   (first, Buf.pages buf)
 
+(* Refuse the output as backpressure: trace it, count it, and leave
+   through [Backpressure]. *)
+let reject (host : Host.t) ~vc ~pages =
+  if Simcore.Tracer.on host.Host.scope then
+    Simcore.Tracer.instant host.Host.scope "degrade.again"
+      ~args:
+        [
+          ("where", Simcore.Tracer.Str "output");
+          ("vc", Simcore.Tracer.Int vc);
+          ("pages", Simcore.Tracer.Int pages);
+        ];
+  Simcore.Tracer.add_counter host.Host.scope "backpressure_rejects";
+  raise_notrace Backpressure
+
 let output_admitted (host : Host.t) ~vc ~sem ~buf ~seq ~on_complete =
   let ops = host.Host.ops in
   let engine = host.Host.engine in
@@ -122,18 +136,7 @@ let output_admitted (host : Host.t) ~vc ~sem ~buf ~seq ~on_complete =
       || (Host.reclaim_retry host ~target:(max 16 npages) ~why:"output"
           && Memory.Phys_mem.free_frames phys >= npages)
     in
-    if not admitted then begin
-      if Simcore.Tracer.on host.Host.scope then
-        Simcore.Tracer.instant host.Host.scope "degrade.again"
-          ~args:
-            [
-              ("where", Simcore.Tracer.Str "output");
-              ("vc", Simcore.Tracer.Int vc);
-              ("pages", Simcore.Tracer.Int npages);
-            ];
-      Simcore.Tracer.add_counter host.Host.scope "backpressure_rejects";
-      raise_notrace Backpressure
-    end
+    if not admitted then reject host ~vc ~pages:npages
   end;
   let scope = host.Host.scope in
   let span =
@@ -172,8 +175,19 @@ let output_admitted (host : Host.t) ~vc ~sem ~buf ~seq ~on_complete =
       let space = buf.Buf.space in
       let region = buffer_region buf in
       let first, pages = buffer_page_range host buf region in
-      let handle = Vm.Page_ref.reference space ~addr:buf.Buf.addr ~len
-          Vm.Page_ref.For_output
+      let handle =
+        (* Admission priced the walk's page-ins, but its reclaim retry
+           may have paged out other pages of the buffer: when even the
+           emergency reserve runs dry, the walk has already dropped its
+           references, and the output is refused as backpressure. *)
+        match
+          Vm.Page_ref.reference space ~addr:buf.Buf.addr ~len
+            Vm.Page_ref.For_output
+        with
+        | handle -> handle
+        | exception Memory.Phys_mem.Out_of_frames ->
+          Simcore.Tracer.span_end scope ~id:span "output.path";
+          reject host ~vc ~pages
       in
       Ops.charge ops C.Reference ~unit:(`Pages pages);
       let unref () =

@@ -17,7 +17,10 @@
       barren round, capped at 8x) and gives up after [max_retries]
       consecutive rounds without progress.
 
-    Requires an application-allocated semantics (see {!Msg_channel}).
+    Requires an application-allocated semantics: receive chunks are
+    preposted at their final offsets inside the destination buffer, so
+    in-place and swap-based semantics deliver the message without a
+    reassembly copy.
     A retransmitted chunk must still hold its original data, so the
     sender's semantics must also be strong-integrity unless the
     application refrains from touching the buffer until completion. *)

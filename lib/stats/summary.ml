@@ -1,5 +1,6 @@
 (* Sample statistics for benchmark metrics: count, mean, population
-   standard deviation, extrema, and interpolated percentiles. *)
+   standard deviation, extrema, interpolated percentiles, and the
+   geometric mean of positive ratios. *)
 
 type t = {
   n : int;
@@ -56,6 +57,19 @@ let of_samples samples =
       p50 = percentile_sorted sorted 50.;
       p95 = percentile_sorted sorted 95.;
     }
+
+let geometric_mean values =
+  match values with
+  | [] -> invalid_arg "Summary.geometric_mean: empty list"
+  | _ ->
+    let log_sum =
+      List.fold_left
+        (fun acc v ->
+          if v <= 0. then invalid_arg "Summary.geometric_mean: non-positive value";
+          acc +. log v)
+        0. values
+    in
+    exp (log_sum /. float_of_int (List.length values))
 
 let to_json t =
   Json.Obj

@@ -105,23 +105,6 @@ let region_of_vpn t vpn =
 
 (* {1 Regions} *)
 
-let map_region ?(state = Region.Unmovable) ?(pageable = true) ?(populate = true)
-    t ~npages =
-  if npages <= 0 then invalid_arg "Address_space.map_region: npages";
-  let obj = Memory_object.create ~pageable () in
-  let region = Region.make ~start_vpn:t.next_vpn ~npages ~state ~obj in
-  t.next_vpn <- t.next_vpn + npages + 1 (* one-page guard gap *);
-  t.region_list <- t.region_list @ [ region ];
-  invalidate_lookup t;
-  if populate then
-    for i = 0 to npages - 1 do
-      let frame = Vm_sys.alloc_pressured_zeroed t.vm in
-      Vm_sys.insert_page t.vm obj i frame;
-      Page_table.map t.pt ~vpn:(region.Region.start_vpn + i) ~frame
-        ~prot:Prot.Read_write
-    done;
-  region
-
 let remove_region t (region : Region.t) =
   if not region.Region.valid then
     invalid_arg "Address_space.remove_region: region already removed";
@@ -132,6 +115,28 @@ let remove_region t (region : Region.t) =
   region.Region.valid <- false;
   t.region_list <- List.filter (fun r -> r != region) t.region_list;
   invalidate_lookup t
+
+let map_region ?(state = Region.Unmovable) ?(pageable = true) ?(populate = true)
+    t ~npages =
+  if npages <= 0 then invalid_arg "Address_space.map_region: npages";
+  let obj = Memory_object.create ~pageable () in
+  let region = Region.make ~start_vpn:t.next_vpn ~npages ~state ~obj in
+  t.next_vpn <- t.next_vpn + npages + 1 (* one-page guard gap *);
+  t.region_list <- t.region_list @ [ region ];
+  invalidate_lookup t;
+  (if populate then
+     try
+       for i = 0 to npages - 1 do
+         let frame = Vm_sys.alloc_pressured_zeroed t.vm in
+         Vm_sys.insert_page t.vm obj i frame;
+         Page_table.map t.pt ~vpn:(region.Region.start_vpn + i) ~frame
+           ~prot:Prot.Read_write
+       done
+     with Memory.Phys_mem.Out_of_frames as e ->
+       (* No half-populated region outlives the failure. *)
+       remove_region t region;
+       raise e);
+  region
 
 let find_region t ~vaddr = region_of_vpn t (vpn_of_addr t vaddr)
 

@@ -33,7 +33,9 @@ val map_region :
   npages:int -> Region.t
 (** Allocate a fresh region.  [state] defaults to [Unmovable] (ordinary
     application memory), [pageable] to [true], [populate] to [true]
-    (zero-filled pages entered eagerly; pass [false] for demand-zero). *)
+    (zero-filled pages entered eagerly; pass [false] for demand-zero).
+    @raise Memory.Phys_mem.Out_of_frames when populating finds no frame;
+    the partly populated region is removed first. *)
 
 val remove_region : t -> Region.t -> unit
 (** Unmap and deallocate; page deallocation is I/O-deferred.  The region

@@ -31,27 +31,43 @@ let reference space ~addr ~len direction =
     | None -> objects := (obj, 1) :: !objects
   in
   let cursor = ref addr and remaining = ref len in
-  while !remaining > 0 do
-    let vpn = !cursor / psize and off = !cursor mod psize in
-    let n = min !remaining (psize - off) in
-    let frame =
-      match direction with
-      | For_output -> Address_space.resolve_read space ~vpn
-      | For_input -> Address_space.resolve_write space ~vpn
-    in
-    (match direction with
-    | For_output -> Memory.Phys_mem.ref_output phys frame
-    | For_input ->
-      Memory.Phys_mem.ref_input phys frame;
-      let region = Address_space.region_of_addr space ~vaddr:!cursor in
-      let obj = region.Region.obj in
-      obj.Memory_object.input_refs <- obj.Memory_object.input_refs + 1;
-      note_object obj);
-    segs := { Memory.Io_desc.frame; off; len = n } :: !segs;
-    frames := frame :: !frames;
-    cursor := !cursor + n;
-    remaining := !remaining - n
-  done;
+  (try
+     while !remaining > 0 do
+       let vpn = !cursor / psize and off = !cursor mod psize in
+       let n = min !remaining (psize - off) in
+       let frame =
+         match direction with
+         | For_output -> Address_space.resolve_read space ~vpn
+         | For_input -> Address_space.resolve_write space ~vpn
+       in
+       (match direction with
+       | For_output -> Memory.Phys_mem.ref_output phys frame
+       | For_input ->
+         Memory.Phys_mem.ref_input phys frame;
+         let region = Address_space.region_of_addr space ~vaddr:!cursor in
+         let obj = region.Region.obj in
+         obj.Memory_object.input_refs <- obj.Memory_object.input_refs + 1;
+         note_object obj);
+       segs := { Memory.Io_desc.frame; off; len = n } :: !segs;
+       frames := frame :: !frames;
+       cursor := !cursor + n;
+       remaining := !remaining - n
+     done
+   with e ->
+     (* A walk that fails partway (no frame to fault a page in, a bad
+        address) drops the references it took before re-raising, so
+        the caller sees no half-referenced buffer. *)
+     List.iter
+       (fun frame ->
+         match direction with
+         | For_output -> Memory.Phys_mem.unref_output phys frame
+         | For_input -> Memory.Phys_mem.unref_input phys frame)
+       !frames;
+     List.iter
+       (fun (obj, n) ->
+         obj.Memory_object.input_refs <- obj.Memory_object.input_refs - n)
+       !objects;
+     raise e);
   let frames = List.rev !frames in
   {
     desc = Memory.Io_desc.of_segs (List.rev !segs);

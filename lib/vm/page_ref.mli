@@ -27,7 +27,9 @@ type handle = {
 val reference :
   Address_space.t -> addr:int -> len:int -> direction -> handle
 (** @raise Vm_error.Segmentation_fault or [Unrecoverable_fault] when the
-    buffer fails the access-rights check. *)
+    buffer fails the access-rights check, and
+    [Memory.Phys_mem.Out_of_frames] when a page cannot be faulted in;
+    either way the references already taken are dropped first. *)
 
 val reference_region :
   Address_space.t -> Region.t -> len:int -> direction -> handle

@@ -124,7 +124,7 @@ let run_rounds cfg ~make_policy =
   (* A moved-in buffer circulating at [a] for system-allocated rounds:
      each system round sends the buffer the previous echo produced. *)
   let a_moved = ref None in
-  let rtt = Simcore.Stat.create () in
+  let rtt_us = ref 0. and rtt_n = ref 0 in
   let meas_start = ref 0. in
   let round = ref 0 in
   let t_send = ref 0. in
@@ -158,11 +158,16 @@ let run_rounds cfg ~make_policy =
           Genie.Input_path.Sys_alloc { space = a_bufs.space; len }
         else Genie.Input_path.App_buffer (snd (app_pair a_bufs len))
       in
-      ignore (Genie.Endpoint.input ea ~sem ~spec ~on_complete:on_a_recv)
+      match Genie.Endpoint.input ea ~sem ~spec ~on_complete:on_a_recv with
+      | Ok _ -> ()
+      | Error `Again -> failwith "Adaptive_run: echo input rejected"
     end
   and on_a_recv (r : Genie.Input_path.result) =
     if not (Genie.Input_path.ok r) then failwith "Adaptive_run: corrupt echo";
-    if !round > cfg.warmup then Simcore.Stat.add rtt (now_a () -. !t_send);
+    if !round > cfg.warmup then begin
+      rtt_us := !rtt_us +. (now_a () -. !t_send);
+      incr rtt_n
+    end;
     (match r.Genie.Input_path.buf with
     | Some buf when buf.Genie.Buf.space == a_bufs.space ->
       (* A system-allocated echo produced a fresh moved-in buffer. *)
@@ -184,9 +189,12 @@ let run_rounds cfg ~make_policy =
     if !b_round <= total then begin
       let len = lens.(!b_round - 1) in
       let spec = Genie.Input_path.App_buffer (snd (app_pair b_bufs len)) in
-      ignore
-        (Genie.Endpoint.input eb ~sem:Genie.Semantics.copy ~spec
-           ~on_complete:on_b_recv)
+      match
+        Genie.Endpoint.input eb ~sem:Genie.Semantics.copy ~spec
+          ~on_complete:on_b_recv
+      with
+      | Ok _ -> ()
+      | Error `Again -> failwith "Adaptive_run: forward input rejected"
     end
   and on_b_recv (r : Genie.Input_path.result) =
     if not (Genie.Input_path.ok r) then failwith "Adaptive_run: corrupt forward";
@@ -210,9 +218,9 @@ let run_rounds cfg ~make_policy =
     | None -> (0, 0, 0)
   in
   {
-    mean_rtt_us = Simcore.Stat.mean rtt;
+    mean_rtt_us = (if !rtt_n = 0 then 0. else !rtt_us /. float_of_int !rtt_n);
     total_us = now_a () -. !meas_start;
-    rounds = Simcore.Stat.count rtt;
+    rounds = !rtt_n;
     migrations;
     epochs;
     final_sem = choose ();

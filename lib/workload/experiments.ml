@@ -14,25 +14,29 @@ let short_lengths =
 let light_spec (spec : Machine.Machine_spec.t) =
   { spec with Machine.Machine_spec.memory_mb = 16 }
 
-let sweep ?(mode = Net.Adapter.Early_demux) ?(recv_offset = 0)
+(* One probe configuration per (semantics, length), semantics-major. *)
+let configs ?(mode = Net.Adapter.Early_demux) ?(recv_offset = 0)
     ?(spec = Machine.Machine_spec.micron_p166) ?(params = Net.Net_params.oc3)
-    ?recorder ?(semantics = Genie.Semantics.all) ~lens () =
+    ?(semantics = Genie.Semantics.all) ~lens () =
   List.concat_map
     (fun sem ->
       List.map
         (fun len ->
-          let cfg =
-            {
-              (Latency_probe.default ~sem ~len) with
-              Latency_probe.mode;
-              recv_offset;
-              spec = light_spec spec;
-              params;
-            }
-          in
-          { sem; len; outcome = Latency_probe.run ?recorder cfg })
+          {
+            (Latency_probe.default ~sem ~len) with
+            Latency_probe.mode;
+            recv_offset;
+            spec = light_spec spec;
+            params;
+          })
         lens)
     semantics
+
+let sweep ?mode ?recv_offset ?spec ?params ?semantics ~lens () =
+  List.map
+    (fun (cfg : Latency_probe.config) ->
+      { sem = cfg.sem; len = cfg.len; outcome = Latency_probe.run cfg })
+    (configs ?mode ?recv_offset ?spec ?params ?semantics ~lens ())
 
 let fig3 () = sweep ~lens:page_multiples ()
 let fig5 () = sweep ~lens:short_lengths ()
@@ -138,29 +142,52 @@ let table7 ~fig3 ~fig6 ~fig7 =
 
 (* {1 Table 6} *)
 
+(* The paper fitted each primitive operation's cycle-counter samples
+   against length; here the samples are the charge events of one shared,
+   enabled tracer.  After each probe its events are decoded into per-op
+   (bytes, us) points in charge order and the tracer is cleared, so
+   memory holds one probe's events plus the points.  Returns the ops
+   seen, in [Cost_model.all_ops] order, with their points. *)
+let op_points cfgs =
+  let trace = Simcore.Tracer.create ~enabled:true () in
+  let points = Hashtbl.create 64 in
+  let add op point =
+    let l = Option.value ~default:[] (Hashtbl.find_opt points op) in
+    Hashtbl.replace points op (point :: l)
+  in
+  List.iter
+    (fun cfg ->
+      ignore (Latency_probe.run ~trace cfg);
+      List.iter
+        (fun ev ->
+          match Genie.Ops.sample ev with
+          | Some (op, bytes, cost, n) ->
+            let point = (float_of_int bytes, Simcore.Sim_time.to_us cost) in
+            for _ = 1 to n do
+              add op point
+            done
+          | None -> ())
+        (Simcore.Tracer.typed_events trace);
+      Simcore.Tracer.clear trace)
+    cfgs;
+  List.filter_map
+    (fun op -> Option.map (fun l -> (op, List.rev l)) (Hashtbl.find_opt points op))
+    Machine.Cost_model.all_ops
+
 let table6 () =
-  let recorder = Genie.Op_recorder.create () in
   let lens = [ 2048; 4096; 9000; 16384; 32768; 49152; 61000; 61440 ] in
-  ignore (sweep ~recorder ~lens ());
-  ignore
-    (sweep ~recorder ~mode:Net.Adapter.Pooled
-       ~recv_offset:Proto.Dgram_header.length ~lens ());
   List.map
-    (fun op ->
-      let samples = Genie.Op_recorder.samples recorder op in
-      let points =
-        List.map
-          (fun s ->
-            (float_of_int s.Genie.Op_recorder.bytes, s.Genie.Op_recorder.us))
-          samples
-      in
+    (fun (op, points) ->
       let fit =
         match points with
         | [] | [ _ ] -> { Stats.Fit.slope = 0.; intercept = 0.; r2 = 1.; n = 0 }
         | _ -> Stats.Fit.linear points
       in
-      (op, fit, List.length samples))
-    (Genie.Op_recorder.ops_seen recorder)
+      (op, fit, List.length points))
+    (op_points
+       (configs ~lens ()
+       @ configs ~mode:Net.Adapter.Pooled
+           ~recv_offset:Proto.Dgram_header.length ~lens ()))
 
 (* {1 Table 8} *)
 
@@ -181,29 +208,20 @@ type table8_side = {
 }
 
 let measured_op_fits spec =
-  let recorder = Genie.Op_recorder.create () in
   let psize = spec.Machine.Machine_spec.page_size in
-  let lens = [ psize; 4 * psize; 7 * psize ] in
-  ignore
-    (sweep ~spec ~recorder ~lens
-       ~semantics:
-         [ Genie.Semantics.copy; Genie.Semantics.emulated_copy;
-           Genie.Semantics.share; Genie.Semantics.move;
-           Genie.Semantics.weak_move ]
-       ());
   List.filter_map
-    (fun op ->
-      let samples = Genie.Op_recorder.samples recorder op in
-      let points =
-        List.map
-          (fun s ->
-            (float_of_int s.Genie.Op_recorder.bytes, s.Genie.Op_recorder.us))
-          samples
-      in
+    (fun (op, points) ->
       match points with
       | [] | [ _ ] -> None
       | _ -> Some (op, Stats.Fit.linear points))
-    Machine.Cost_model.all_ops
+    (op_points
+       (configs ~spec
+          ~lens:[ psize; 4 * psize; 7 * psize ]
+          ~semantics:
+            [ Genie.Semantics.copy; Genie.Semantics.emulated_copy;
+              Genie.Semantics.share; Genie.Semantics.move;
+              Genie.Semantics.weak_move ]
+          ()))
 
 let table8 () =
   let reference = Machine.Machine_spec.micron_p166 in
@@ -236,7 +254,7 @@ let table8 () =
         cpu_ops
     in
     let stats l =
-      ( Simcore.Stat.geometric_mean l,
+      ( Stats.Summary.geometric_mean l,
         List.fold_left Float.min infinity l,
         List.fold_left Float.max neg_infinity l )
     in

@@ -25,7 +25,6 @@ val sweep :
   ?recv_offset:int ->
   ?spec:Machine.Machine_spec.t ->
   ?params:Net.Net_params.t ->
-  ?recorder:Genie.Op_recorder.t ->
   ?semantics:Genie.Semantics.t list ->
   lens:int list ->
   unit ->
@@ -63,8 +62,9 @@ val table7 :
   fig3:run list -> fig6:run list -> fig7:run list -> table7_row list
 
 val table6 : unit -> (Machine.Cost_model.op * Stats.Fit.t * int) list
-(** Measured per-operation cost fits (op, fit, sample count), from
-    instrumented runs across semantics and input schemes. *)
+(** Measured per-operation cost fits (op, fit, sample count): the
+    charge events of traced probes across semantics and input schemes,
+    decoded by {!Genie.Ops.sample}. *)
 
 type table8_side = {
   machine : string;

@@ -39,6 +39,9 @@ type outcome = {
   rounds : int;
 }
 
-val run : ?recorder:Genie.Op_recorder.t -> config -> outcome
-(** Execute the ping-pong.  When [recorder] is given, every primitive
-    operation charged on either host is sampled into it (Table 6). *)
+val run : ?trace:Simcore.Tracer.t -> config -> outcome
+(** Execute the ping-pong.  [trace] is installed on both hosts (see
+    {!Genie.World.create}); when it is enabled, every primitive
+    operation charged on either host lands in it as a cost sample
+    (Table 6, decoded by {!Genie.Ops.sample}).
+    @raise Failure if an output or input is rejected with [`Again]. *)

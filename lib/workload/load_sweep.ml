@@ -135,7 +135,7 @@ let run cfg =
     float_of_int (cfg.len * 8) /. cfg.offered_mbps (* bits / (bits/us) *)
   in
   let submit_times = Queue.create () in
-  let latencies = Simcore.Stat.create () in
+  let latencies = Stats.Streaming_summary.create () in
   let received = ref 0 and bytes = ref 0 in
   let t_first_send = ref nan and t_last_recv = ref nan in
   (* Receiver: keep all buffers preposted, reposting on completion. *)
@@ -149,7 +149,8 @@ let run cfg =
           bytes := !bytes + r.Genie.Input_path.payload_len;
           t_last_recv := Genie.Host.now_us b;
           (match Queue.take_opt submit_times with
-          | Some t -> Simcore.Stat.add latencies (Genie.Host.now_us b -. t)
+          | Some t ->
+            Stats.Streaming_summary.add latencies (Genie.Host.now_us b -. t)
           | None -> ());
           if !received + 8 <= cfg.datagrams then post_input i
         end
@@ -183,8 +184,8 @@ let run cfg =
   {
     offered_mbps = cfg.offered_mbps;
     delivered_mbps = 8. *. float_of_int !bytes /. elapsed;
-    mean_latency_us = Simcore.Stat.mean latencies;
-    max_latency_us = Simcore.Stat.max latencies;
+    mean_latency_us = Stats.Streaming_summary.mean latencies;
+    max_latency_us = Stats.Streaming_summary.max latencies;
     receiver_busy_fraction =
       Simcore.Sim_time.to_us (Simcore.Cpu.busy_time b.Genie.Host.cpu) /. elapsed;
   }

@@ -309,6 +309,61 @@ let test_section_self_compare () =
   | Error e -> Alcotest.fail e);
   Sys.rmdir dir
 
+(* Tables 6 and 8 are fitted from the tracer's charge events.  Their
+   simulated metrics must equal the committed baselines to the last bit,
+   not merely within the compare gate's 0.1%. *)
+let test_cost_tables_exact () =
+  let dir = Filename.temp_file "bench" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let read path = match R.read path with Ok t -> t | Error e -> Alcotest.fail e in
+  let sim t =
+    List.filter_map
+      (fun m -> if m.R.kind = R.Sim then Some (m.R.name, m.R.samples) else None)
+      t.R.metrics
+  in
+  List.iter
+    (fun section ->
+      let baseline =
+        read (Printf.sprintf "../bench/baselines/BENCH_%s.json" section)
+      in
+      match Bench_sections.Sections.run_one ~out_dir:dir section with
+      | Ok (Some path) ->
+        let current = read path in
+        Sys.remove path;
+        Alcotest.(check (list (pair string (list (float 0.)))))
+          (section ^ " [Sim] samples") (sim baseline) (sim current)
+      | Ok None -> Alcotest.failf "%s recorded no metrics" section
+      | Error e -> Alcotest.fail e)
+    [ "table6"; "table8" ];
+  Sys.rmdir dir
+
+(* Table 6's per-op sample counts, which no baseline JSON records. *)
+let table6_counts =
+  [
+    ("copyin", 256); ("copyout", 688); ("zero-fill", 176); ("reference", 3072);
+    ("unreference", 2816); ("wire", 1280); ("unwire", 1280); ("read-only", 256);
+    ("invalidate", 512); ("swap", 832); ("region create", 415);
+    ("region remove", 256); ("region fill", 128);
+    ("region fill & overlay refill", 128); ("region mark out", 1792);
+    ("region mark in", 1536); ("region map", 256); ("region check", 512);
+    ("region check, unreference, reinstate, mark in", 128);
+    ("region check, unreference, mark in", 128); ("overlay allocate", 1024);
+    ("overlay", 1024); ("overlay deallocate", 1024);
+    ("system buffer allocate", 640); ("system buffer deallocate", 384);
+    ("syscall entry", 4096); ("interrupt dispatch", 2048);
+  ]
+
+let test_table6_sample_counts () =
+  let counts =
+    List.map
+      (fun (op, _, n) -> (Machine.Cost_model.op_name op, n))
+      (Workload.Experiments.table6 ())
+  in
+  Alcotest.(check (list (pair string int))) "per-op samples" table6_counts counts;
+  Alcotest.(check int) "total samples" 26_687
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 counts)
+
 let suite =
   [
     Alcotest.test_case "json escaping" `Quick test_json_escaping;
@@ -336,4 +391,8 @@ let suite =
     Alcotest.test_case "compare ignore-wall" `Quick test_compare_ignore_wall;
     Alcotest.test_case "compare zero baseline" `Quick test_compare_zero_baseline;
     Alcotest.test_case "section self-compare" `Quick test_section_self_compare;
+    Alcotest.test_case "tables 6 and 8 equal their baselines exactly" `Quick
+      test_cost_tables_exact;
+    Alcotest.test_case "table 6 per-op sample counts" `Quick
+      test_table6_sample_counts;
   ]

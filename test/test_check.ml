@@ -84,6 +84,19 @@ let fuzz_random_seeds =
       let o = F.run { F.default_config with steps = 120; seed } in
       match o.F.stop with F.Completed -> true | F.Violations _ -> false)
 
+(* Two seeds of [fuzz_random_seeds]' range that once crashed with
+   [Out_of_frames] under exhaustion: 52690 ran out of frames while
+   mapping a moved-in send buffer, 90448 while an admitted output's
+   reference walk paged in a page its own reclaim retry had paged out.
+   Both now reject the transfer and run to completion. *)
+let test_exhaustion_seed seed () =
+  let o = F.run { F.default_config with steps = 120; seed } in
+  match o.F.stop with
+  | F.Completed -> ()
+  | F.Violations vs ->
+    Alcotest.failf "seed %d violated invariants:\n%s" seed
+      (String.concat "\n" (List.map I.violation_to_string vs))
+
 (* Satellite: deterministic replay.  The schedule and the trace are pure
    functions of the seed; distinct seeds diverge. *)
 let test_replay_deterministic () =
@@ -233,6 +246,10 @@ let suite =
     Alcotest.test_case "2000-step fuzz holds all invariants" `Slow
       test_long_fuzz;
     QCheck_alcotest.to_alcotest fuzz_random_seeds;
+    Alcotest.test_case "seed 52690: send buffer mapping out of frames" `Quick
+      (test_exhaustion_seed 52690);
+    Alcotest.test_case "seed 90448: output reference walk out of frames" `Quick
+      (test_exhaustion_seed 90448);
     Alcotest.test_case "fault-free regime keeps degraded mode silent" `Quick
       test_fault_free_regime_is_silent;
     Alcotest.test_case "seed replay is deterministic" `Quick

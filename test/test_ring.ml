@@ -123,9 +123,17 @@ let fresh_host () =
   let w = Genie.World.create ~spec_a:light ~spec_b:light () in
   let h = w.Genie.World.a in
   Simcore.Tracer.enable h.Genie.Host.tracer;
-  let recorder = Genie.Op_recorder.create () in
-  h.Genie.Host.ops.Genie.Ops.recorder <- Some recorder;
-  (h, recorder)
+  h
+
+(* The host's cost samples: every charge event decoded by [Ops.sample]
+   and expanded to one (op, bytes, cost) per charged operation. *)
+let samples h =
+  List.concat_map
+    (fun ev ->
+      match Genie.Ops.sample ev with
+      | Some (op, bytes, cost, n) -> List.init n (fun _ -> (op, bytes, cost))
+      | None -> [])
+    (Simcore.Tracer.typed_events h.Genie.Host.tracer)
 
 let charge_n_law =
   QCheck.Test.make
@@ -134,7 +142,7 @@ let charge_n_law =
     QCheck.(triple (int_bound 30) (int_range 1 50_000) (int_bound 9))
     (fun (op_idx, bytes, n) ->
       let op = List.nth C.all_ops (op_idx mod List.length C.all_ops) in
-      let h1, r1 = fresh_host () and h2, r2 = fresh_host () in
+      let h1 = fresh_host () and h2 = fresh_host () in
       Genie.Ops.charge_n h1.Genie.Host.ops op ~unit:(`Bytes bytes) ~n;
       for _ = 1 to n do
         Genie.Ops.charge h2.Genie.Host.ops op ~unit:(`Bytes bytes)
@@ -146,13 +154,50 @@ let charge_n_law =
               k)
           [ "copies"; "copied_bytes"; "wires" ]
       in
-      let samples r = List.map (Genie.Op_recorder.samples r) C.all_ops in
       Genie.Ops.completion_time h1.Genie.Host.ops
       = Genie.Ops.completion_time h2.Genie.Host.ops
       && Simcore.Cpu.busy_time h1.Genie.Host.cpu
          = Simcore.Cpu.busy_time h2.Genie.Host.cpu
       && counters h1 = counters h2
-      && samples r1 = samples r2)
+      && samples h1 = samples h2)
+
+(* [Ops.sample] inverts exactly the events [charge]/[charge_n] emit; the
+   tracer's other complete events (DMA, bursts, reaps, the block device)
+   share the payload shape but not the name, and decode to nothing. *)
+let sample_law =
+  QCheck.Test.make ~name:"Ops.sample decodes charges and only charges"
+    ~count:100
+    QCheck.(quad (int_bound 100) bool (int_bound 70_000) (int_bound 8))
+    (fun (op_idx, by_pages, amount, extra) ->
+      let n = extra + 1 in
+      let op = List.nth C.all_ops (op_idx mod List.length C.all_ops) in
+      let h = fresh_host () in
+      let psize = Genie.Host.page_size h in
+      let unit, bytes =
+        if by_pages then (`Pages (amount mod 16), amount mod 16 * psize)
+        else (`Bytes amount, amount)
+      in
+      let cost = C.cost h.Genie.Host.costs op ~bytes in
+      Genie.Ops.charge h.Genie.Host.ops op ~unit;
+      Genie.Ops.charge_n h.Genie.Host.ops op ~unit ~n;
+      List.iter
+        (fun name ->
+          Simcore.Tracer.complete h.Genie.Host.scope ~start:Simcore.Sim_time.zero
+            ~dur:cost
+            ~args:[ ("bytes", Simcore.Tracer.Int bytes); ("n", Simcore.Tracer.Int n) ]
+            name)
+        [ "input.dma"; "tx.burst"; "ring.reap"; "dev.read"; "dev.write"; "dev.flush" ];
+      let completes =
+        List.filter
+          (fun ev ->
+            match ev.Simcore.Tracer.kind with
+            | Simcore.Tracer.Complete _ -> true
+            | _ -> false)
+          (Simcore.Tracer.typed_events h.Genie.Host.tracer)
+      in
+      List.map Genie.Ops.sample completes
+      = [ Some (op, bytes, cost, 1); Some (op, bytes, cost, n) ]
+        @ List.init 6 (fun _ -> None))
 
 (* --- batch-vs-sequential equivalence ------------------------------- *)
 
@@ -407,7 +452,7 @@ let test_mixed_batch_order () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ ring_model_equivalence; charge_n_law; batch_equivalence ]
+    [ ring_model_equivalence; charge_n_law; sample_law; batch_equivalence ]
   @ [
       Alcotest.test_case "capacity rounds up, never exceeded" `Quick
         test_capacity_rounding;

@@ -261,21 +261,6 @@ let rng_stream_laws =
       a1 = a2 && a1 = a3 && parent_untouched
       && (i = j || a1 <> draw (Simcore.Rng.stream (base ()) ~id:j)))
 
-let test_stat () =
-  let s = Simcore.Stat.create () in
-  List.iter (Simcore.Stat.add s) [ 2.; 4.; 6. ];
-  Alcotest.(check (float 1e-9)) "mean" 4. (Simcore.Stat.mean s);
-  Alcotest.(check (float 1e-9)) "min" 2. (Simcore.Stat.min s);
-  Alcotest.(check (float 1e-9)) "max" 6. (Simcore.Stat.max s);
-  Alcotest.(check int) "count" 3 (Simcore.Stat.count s);
-  Simcore.Stat.clear s;
-  Alcotest.(check int) "cleared" 0 (Simcore.Stat.count s)
-
-let test_geometric_mean () =
-  Alcotest.(check (float 1e-9)) "gm" 4. (Simcore.Stat.geometric_mean [ 2.; 8. ]);
-  Alcotest.check_raises "empty" (Invalid_argument "Stat.geometric_mean: empty list")
-    (fun () -> ignore (Simcore.Stat.geometric_mean []))
-
 let test_cpu_charge () =
   let e = Simcore.Engine.create () in
   let cpu = Simcore.Cpu.create e in
@@ -343,8 +328,6 @@ let suite =
     QCheck_alcotest.to_alcotest rng_bounds;
     QCheck_alcotest.to_alcotest rng_float_bounds;
     QCheck_alcotest.to_alcotest rng_stream_laws;
-    Alcotest.test_case "stat accumulator" `Quick test_stat;
-    Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
     Alcotest.test_case "cpu charging" `Quick test_cpu_charge;
     Alcotest.test_case "cpu charge_then" `Quick test_cpu_charge_then;
     Alcotest.test_case "cpu idle gap" `Quick test_cpu_idle_gap;

@@ -148,6 +148,12 @@ let test_streaming_summary_basics () =
   Alcotest.(check int) "fixed footprint regardless of count" m
     (SS.memory_words big)
 
+let test_geometric_mean () =
+  Alcotest.(check (float 1e-9)) "gm" 4. (Stats.Summary.geometric_mean [ 2.; 8. ]);
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Summary.geometric_mean: empty list") (fun () ->
+      ignore (Stats.Summary.geometric_mean []))
+
 let suite =
   [
     Alcotest.test_case "fit exact line" `Quick test_fit_exact_line;
@@ -161,4 +167,5 @@ let suite =
       test_streaming_summary_basics;
     QCheck_alcotest.to_alcotest streaming_quantile_tolerance;
     QCheck_alcotest.to_alcotest streaming_merge_laws;
+    Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
   ]

@@ -1,6 +1,6 @@
 (* Typed kernel-path trace tests: stage spans for one transfer, span
    nesting under fuzzer fault schedules, counters cross-checked against
-   the operation recorder, and the Chrome-trace exporter round-tripped
+   the decoded charge events, and the Chrome-trace exporter round-tripped
    through the JSON layer. *)
 
 module As = Vm.Address_space
@@ -129,14 +129,10 @@ let test_tracing_disabled_is_silent () =
   Alcotest.(check (list (triple string string int))) "no counters" []
     (T.counters tracer)
 
-(* {1 Counters vs the operation recorder} *)
+(* {1 Counters vs the decoded charge events} *)
 
-let test_counters_match_op_recorder () =
+let test_counters_match_charges () =
   let trace, w = traced_world () in
-  let rec_a = Genie.Op_recorder.create () in
-  let rec_b = Genie.Op_recorder.create () in
-  w.Genie.World.a.Genie.Host.ops.Genie.Ops.recorder <- Some rec_a;
-  w.Genie.World.b.Genie.Host.ops.Genie.Ops.recorder <- Some rec_b;
   let ea, eb = Genie.World.endpoint_pair w ~vc:1 ~mode:Net.Adapter.Early_demux in
   List.iteri
     (fun i (sem, len) ->
@@ -150,29 +146,38 @@ let test_counters_match_op_recorder () =
       ignore (Genie.Endpoint.output ea ~sem ~buf ()))
     [ (Sem.copy, 1024); (Sem.emulated_copy, 16384); (Sem.share, 8192) ];
   Genie.World.run w;
-  let check_host host recorder =
+  (* One (bytes, count) per charge event of [host] for any of [ops]. *)
+  let charged host ops =
+    List.filter_map
+      (fun (ev : T.event) ->
+        match Genie.Ops.sample ev with
+        | Some (op, bytes, _, n) when ev.T.host = host && List.mem op ops ->
+          Some (bytes, n)
+        | _ -> None)
+      (T.typed_events trace)
+  in
+  let check_host host =
     let name = host.Genie.Host.name in
-    let copy_samples =
-      Genie.Op_recorder.samples recorder Machine.Cost_model.Copyin
-      @ Genie.Op_recorder.samples recorder Machine.Cost_model.Copyout
+    let copies =
+      charged name [ Machine.Cost_model.Copyin; Machine.Cost_model.Copyout ]
     in
-    Alcotest.(check int) (name ^ ": copies = recorded copy ops")
-      (List.length copy_samples)
+    Alcotest.(check int) (name ^ ": copies = charged copy ops")
+      (List.fold_left (fun acc (_, n) -> acc + n) 0 copies)
       (T.counter trace ~host:name "copies");
-    Alcotest.(check int) (name ^ ": copied_bytes = recorded copy bytes")
-      (List.fold_left (fun acc s -> acc + s.Genie.Op_recorder.bytes) 0 copy_samples)
+    Alcotest.(check int) (name ^ ": copied_bytes = charged copy bytes")
+      (List.fold_left (fun acc (bytes, n) -> acc + (n * bytes)) 0 copies)
       (T.counter trace ~host:name "copied_bytes");
     let wired_pages =
       List.fold_left
-        (fun acc s -> acc + (s.Genie.Op_recorder.bytes / 4096))
+        (fun acc (bytes, n) -> acc + (n * (bytes / 4096)))
         0
-        (Genie.Op_recorder.samples recorder Machine.Cost_model.Wire)
+        (charged name [ Machine.Cost_model.Wire ])
     in
-    Alcotest.(check int) (name ^ ": wires = recorded wired pages") wired_pages
+    Alcotest.(check int) (name ^ ": wires = charged wired pages") wired_pages
       (T.counter trace ~host:name "wires")
   in
-  check_host w.Genie.World.a rec_a;
-  check_host w.Genie.World.b rec_b;
+  check_host w.Genie.World.a;
+  check_host w.Genie.World.b;
   (* The TCOW transfer wired sender pages; make sure the cross-check is
      not vacuous. *)
   Alcotest.(check bool) "sender wired pages" true
@@ -377,7 +382,7 @@ let suite =
     Alcotest.test_case "tracing disabled is silent" `Quick
       test_tracing_disabled_is_silent;
     Alcotest.test_case "counters match the operation recorder" `Quick
-      test_counters_match_op_recorder;
+      test_counters_match_charges;
     Alcotest.test_case "span nesting under fuzzer fault schedules" `Quick
       test_span_nesting_under_fuzzer;
     Alcotest.test_case "chrome export round-trips through Stats.Json" `Quick
