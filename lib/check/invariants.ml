@@ -43,10 +43,8 @@ let iter_frames host f =
 (* Multiset of frames currently in the host's overlay pool. *)
 let pool_counts (host : Genie.Host.t) =
   let counts = Hashtbl.create 64 in
-  Queue.iter
-    (fun (f : F.t) ->
-      Hashtbl.replace counts f.F.id (1 + Option.value ~default:0 (Hashtbl.find_opt counts f.F.id)))
-    host.Genie.Host.pool;
+  Genie.Host.iter_pool host (fun (f : F.t) ->
+      Hashtbl.replace counts f.F.id (1 + Option.value ~default:0 (Hashtbl.find_opt counts f.F.id)));
   counts
 
 let ledger_counts (host : Genie.Host.t) =

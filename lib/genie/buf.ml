@@ -14,7 +14,36 @@ let pages t =
 let read t = Vm.Address_space.read t.space ~addr:t.addr ~len:t.len
 let write t data = Vm.Address_space.write t.space ~addr:t.addr data
 
-let expected_pattern ~len ~seed =
-  Bytes.init len (fun i -> Char.chr ((i * 131 + seed * 89 + i / 4096) land 0xFF))
+(* Byte [i] of the pattern is [(131 i + 89 seed + i / 4096) land 0xFF].
+   131 * 256 is a multiple of 256, so within the 4,096-byte block
+   [i / 4096] byte [i] repeats every 256 bytes: each block is one
+   256-byte row, computed once and blitted sixteen times. *)
+let pattern_row row ~seed ~block =
+  for m = 0 to 255 do
+    Bytes.set row m (Char.chr ((m * 131 + seed * 89 + block) land 0xFF))
+  done
 
-let fill_pattern t ~seed = write t (expected_pattern ~len:t.len ~seed)
+(* Pattern bytes [pos, pos + len) into [dst] at [dst_off], through the
+   256-byte scratch [row]. *)
+let blit_pattern row ~seed ~pos ~len dst ~dst_off =
+  let stop = pos + len in
+  let i = ref pos in
+  while !i < stop do
+    if !i = pos || !i land 4095 = 0 then pattern_row row ~seed ~block:(!i / 4096);
+    let m = !i land 255 in
+    let n = Stdlib.min (256 - m) (stop - !i) in
+    Bytes.blit row m dst (dst_off + !i - pos) n;
+    i := !i + n
+  done
+
+let expected_pattern ~len ~seed =
+  let b = Bytes.create len in
+  blit_pattern (Bytes.create 256) ~seed ~pos:0 ~len b ~dst_off:0;
+  b
+
+let fill_pattern t ~seed =
+  let row = Bytes.create 256 in
+  Vm.Address_space.iter_write t.space ~addr:t.addr ~len:t.len
+    (fun ~buf_off frame ~off ~len ->
+      blit_pattern row ~seed ~pos:buf_off ~len (Memory.Frame.data frame)
+        ~dst_off:off)

@@ -14,6 +14,9 @@ val read : t -> bytes
 
 val write : t -> bytes -> unit
 val fill_pattern : t -> seed:int -> unit
-(** Fill with a deterministic pattern (for tests and examples). *)
+(** Fill with a deterministic pattern (for tests and examples), storing
+    straight into the mapped frames. *)
 
 val expected_pattern : len:int -> seed:int -> bytes
+(** The bytes {!fill_pattern} stores in a buffer of [len] bytes: byte
+    [i] is [(131 i + 89 seed + i / 4096) land 0xFF]. *)

@@ -9,10 +9,10 @@ type t = {
   mutable next_token : int;
   mutable pendings : Input_path.pending list;  (* oldest first *)
   unclaimed : Net.Adapter.rx_result Queue.t;
-  sq : int Ring.t;
+  sq : int Ring.t Lazy.t;
       (* staged batch entries as indices into the submission array
          (io_uring's SQ indirection), drained by submit *)
-  cq : completion Ring.t;  (* completed batch entries, drained by reap *)
+  cq : completion Ring.t Lazy.t;  (* completed batch entries, drained by reap *)
   cq_overflow : completion Queue.t;  (* spill when [cq] is full *)
 }
 
@@ -69,8 +69,10 @@ let create host ~vc ~mode =
       next_token = 0;
       pendings = [];
       unclaimed = Queue.create ();
-      sq = Ring.create ~dummy:(-1) ();
-      cq = Ring.create ~dummy:ring_dummy ();
+      (* Built at the first [submit_batch] or reap: most endpoints only
+         ever make single-shot calls. *)
+      sq = lazy (Ring.create ~dummy:(-1) ());
+      cq = lazy (Ring.create ~dummy:ring_dummy ());
       cq_overflow = Queue.create ();
     }
   in
@@ -154,7 +156,7 @@ type sub_outcome =
 let push_completion t c =
   (* FIFO across the ring/overflow boundary: once the ring has spilled,
      keep spilling until a reap empties both. *)
-  if Queue.is_empty t.cq_overflow && Ring.try_push t.cq c then ()
+  if Queue.is_empty t.cq_overflow && Ring.try_push (Lazy.force t.cq) c then ()
   else begin
     Simcore.Tracer.add_counter t.host.Host.scope "ring_cq_overflows";
     Queue.add c t.cq_overflow
@@ -213,26 +215,29 @@ let submit_batch t subs =
   Net.Adapter.tx_window_open t.host.Host.adapter ~vc:t.vc ~n:outputs;
   let outcomes = Array.make n (Rejected `Again) in
   let process i = outcomes.(i) <- submit_one t subs.(i) in
+  let sq = Lazy.force t.sq in
   (* Stage indices through the submission ring; if the batch exceeds
      the ring capacity, drain in chunks — entries still process in
      submission order. *)
   for i = 0 to n - 1 do
-    if not (Ring.try_push t.sq i) then begin
-      ignore (Ring.drain t.sq ~f:process);
-      let pushed = Ring.try_push t.sq i in
+    if not (Ring.try_push sq i) then begin
+      ignore (Ring.drain sq ~f:process);
+      let pushed = Ring.try_push sq i in
       assert pushed
     end
   done;
-  ignore (Ring.drain t.sq ~f:process);
+  ignore (Ring.drain sq ~f:process);
   Simcore.Tracer.span_end scope ~id:span "ring.submit";
   outcomes
 
-let completions_available t = Ring.length t.cq + Queue.length t.cq_overflow
+let completions_available t =
+  (if Lazy.is_val t.cq then Ring.length (Lazy.force t.cq) else 0)
+  + Queue.length t.cq_overflow
 
 let reap_completions t =
   let scope = t.host.Host.scope in
   let acc = ref [] in
-  let n = Ring.drain t.cq ~f:(fun c -> acc := c :: !acc) in
+  let n = Ring.drain (Lazy.force t.cq) ~f:(fun c -> acc := c :: !acc) in
   let spilled = Queue.length t.cq_overflow in
   Queue.iter (fun c -> acc := c :: !acc) t.cq_overflow;
   Queue.clear t.cq_overflow;

@@ -8,7 +8,7 @@ type t = {
   adapter : Net.Adapter.t;
   ops : Ops.t;
   thresholds : Thresholds.t;
-  pool : Memory.Frame.t Queue.t;
+  pool : Memory.Phys_mem.block;
   handlers : (int, Net.Adapter.rx_result -> unit) Hashtbl.t;
   mutable align_input : bool;
   tracer : Simcore.Tracer.t;
@@ -34,17 +34,18 @@ let reclaim_retry t ~target ~why =
 
 let pool_put t frame =
   Ledger.release t.ledger frame;
-  Queue.add frame t.pool;
+  Memory.Phys_mem.block_add t.pool frame;
   Simcore.Tracer.add_counter t.scope "pool_recycles"
 
-let pool_level t = Queue.length t.pool
+let pool_level t = Memory.Phys_mem.block_length t.pool
+let iter_pool t f = Memory.Phys_mem.block_iter t.pool f
 
 (* Overlay-pool take with graceful degradation: an empty pool borrows a
    frame from physical memory (it rejoins the pool at [pool_put]), frame
    exhaustion triggers a pageout-reclaim retry, and only then does the
    caller see [None] — never an exception. *)
 let pool_take_opt t =
-  match Queue.take_opt t.pool with
+  match Memory.Phys_mem.block_take t.pool with
   | Some frame ->
     Ledger.hold t.ledger frame;
     Some frame
@@ -111,6 +112,9 @@ let create ?(pool_frames = 512) ?thresholds ?tracer engine params spec ~name =
   Net.Adapter.set_trace_scope adapter (scope Simcore.Tracer.Net);
   let ops = Ops.create cpu costs in
   Ops.set_trace_scope ops (scope Simcore.Tracer.Genie);
+  (* One block, not [pool_frames] allocations: the pool's frames are
+     born as the adapter first takes them. *)
+  let pool = Memory.Phys_mem.alloc_block vm.Vm.Vm_sys.phys pool_frames in
   let t =
     {
       name;
@@ -122,7 +126,7 @@ let create ?(pool_frames = 512) ?thresholds ?tracer engine params spec ~name =
       adapter;
       ops;
       thresholds;
-      pool = Queue.create ();
+      pool;
       handlers = Hashtbl.create 8;
       align_input = true;
       tracer;
@@ -130,9 +134,6 @@ let create ?(pool_frames = 512) ?thresholds ?tracer engine params spec ~name =
       ledger = Ledger.create ();
     }
   in
-  for _ = 1 to pool_frames do
-    Queue.add (Memory.Phys_mem.alloc t.vm.Vm.Vm_sys.phys) t.pool
-  done;
   Net.Adapter.set_pool_supply adapter (fun () -> pool_take_opt t);
   Net.Adapter.set_pool_return adapter (fun frame -> pool_put t frame);
   Net.Adapter.set_rx_complete adapter (fun result ->

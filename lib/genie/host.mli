@@ -14,7 +14,9 @@ type t = {
   adapter : Net.Adapter.t;
   ops : Ops.t;
   thresholds : Thresholds.t;
-  pool : Memory.Frame.t Queue.t;
+  pool : Memory.Phys_mem.block;
+      (** the overlay pool, FIFO; read it through {!pool_level} and
+          {!iter_pool} *)
   handlers : (int, Net.Adapter.rx_result -> unit) Hashtbl.t;
   mutable align_input : bool;
       (** system input alignment (Section 5.2); disable for the ablation
@@ -41,7 +43,8 @@ val create :
   Machine.Machine_spec.t ->
   name:string ->
   t
-(** [pool_frames] (default 512) sizes the I/O module's overlay pool.
+(** [pool_frames] (default 512) sizes the I/O module's overlay pool,
+    handed out as one {!Memory.Phys_mem.block}.
     [tracer] (default: a fresh disabled tracer) receives the typed
     events of every subsystem on this host; its clock is pointed at the
     engine, and per-subsystem scopes are installed into the VM system,
@@ -58,6 +61,10 @@ val pool_take_opt : t -> Memory.Frame.t option
 
 val pool_put : t -> Memory.Frame.t -> unit
 val pool_level : t -> int
+
+val iter_pool : t -> (Memory.Frame.t -> unit) -> unit
+(** Every frame in the overlay pool, in take order (for the invariant
+    checker). *)
 
 val alloc_sys_frames : t -> int -> Memory.Frame.t list
 (** Kernel system-buffer pages (not pageable, not pooled).

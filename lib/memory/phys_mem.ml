@@ -3,13 +3,22 @@
    recycled id; [free] holds only recycled ids, FIFO.  This is the order
    a queue pre-filled with every id would give.  A frame's record is
    created at its first hand-out or lookup ([missing] holds its slot
-   until then), and its page at the first access to its bytes. *)
+   until then), and its page at the first access to its bytes.  The
+   table itself grows to cover the highest id handed out or looked up.
+
+   A block ([alloc_block]) hands out a run of never-handed-out ids
+   without creating their records.  Every other hand-out creates its
+   record, so an id below [fresh] whose slot is still [missing] belongs
+   to a block: its record is born [Allocated], and poisoned if its block
+   was handed out under [debug_poison]. *)
 type t = {
-  frames : Frame.t array;
+  mutable frames : Frame.t array;
+  total : int;
   mutable fresh : int;
   free : int Queue.t;
   page_size : int;
   mutable zombies : int;
+  mutable poisoned : (int * int) list; (* [lo, hi) blocks handed out poisoned *)
   mutable trace : Simcore.Tracer.scope option;
 }
 
@@ -22,35 +31,55 @@ let traced t f =
 
 (* Counters also accumulate in count-only mode ([add_counter]
    self-guards), so they stay out of the [traced] event closures. *)
-let count t name =
+let count ?n t name =
   match t.trace with
-  | Some s -> Simcore.Tracer.add_counter s name
+  | Some s -> Simcore.Tracer.add_counter s ?n name
   | None -> ()
 
 exception Out_of_frames
 
 let create spec =
-  let page_size = spec.Machine.Machine_spec.page_size in
-  let n = Machine.Machine_spec.frame_count spec in
   {
-    frames = Array.make n missing;
+    frames = [||];
+    total = Machine.Machine_spec.frame_count spec;
     fresh = 0;
     free = Queue.create ();
-    page_size;
+    page_size = spec.Machine.Machine_spec.page_size;
     zombies = 0;
+    poisoned = [];
     trace = None;
   }
 
 let page_size t = t.page_size
 let set_trace_scope t scope = t.trace <- Some scope
-let total_frames t = Array.length t.frames
-let free_frames t = total_frames t - t.fresh + Queue.length t.free
+let total_frames t = t.total
+let free_frames t = t.total - t.fresh + Queue.length t.free
+
+let grow t id =
+  let len = ref (Stdlib.max 64 (Array.length t.frames)) in
+  while !len <= id do
+    len := 2 * !len
+  done;
+  let frames = Array.make (Stdlib.min !len t.total) missing in
+  Array.blit t.frames 0 frames 0 (Array.length t.frames);
+  t.frames <- frames
+
+(* The state [alloc] would have left a block frame in at hand-out. *)
+let hand_out_in_block frame ~poison =
+  frame.Frame.state <- Frame.Allocated;
+  frame.Frame.known_zero <- false;
+  if poison then Frame.fill frame '\xAA'
 
 let frame_by_id t id =
+  if id < 0 || id >= t.total then invalid_arg "Phys_mem.frame_by_id";
+  if id >= Array.length t.frames then grow t id;
   let frame = t.frames.(id) in
   if frame != missing then frame
   else begin
     let frame = Frame.make ~id ~size:t.page_size in
+    if id < t.fresh then
+      hand_out_in_block frame
+        ~poison:(List.exists (fun (lo, hi) -> lo <= id && id < hi) t.poisoned);
     t.frames.(id) <- frame;
     frame
   end
@@ -62,17 +91,18 @@ let frame_by_id t id =
 let debug_poison = ref false
 
 let take_free t =
-  let id =
-    if t.fresh < total_frames t then begin
+  let frame =
+    if t.fresh < t.total then begin
+      (* Looked up before [fresh] moves past it, so it is born [Free]. *)
+      let frame = frame_by_id t t.fresh in
       t.fresh <- t.fresh + 1;
-      t.fresh - 1
+      frame
     end
     else
       match Queue.take_opt t.free with
       | None -> raise Out_of_frames
-      | Some id -> id
+      | Some id -> frame_by_id t id
   in
-  let frame = frame_by_id t id in
   assert (frame.Frame.state = Frame.Free);
   frame.Frame.state <- Frame.Allocated;
   count t "frame_allocs";
@@ -160,7 +190,50 @@ let adopt t (frame : Frame.t) =
   | Frame.Allocated -> ()
   | Frame.Free -> invalid_arg "Phys_mem.adopt: frame is free"
 
+type block = {
+  pm : t;
+  mutable next : int; (* [next, stop): ids not yet taken, maybe unborn *)
+  stop : int;
+  queue : Frame.t Queue.t; (* frames behind the id run, FIFO *)
+}
+
+let alloc_block t n =
+  if n < 0 then invalid_arg "Phys_mem.alloc_block: negative size";
+  if n > free_frames t then raise Out_of_frames;
+  let k = Stdlib.min n (t.total - t.fresh) in
+  let b = { pm = t; next = t.fresh; stop = t.fresh + k; queue = Queue.create () } in
+  (* Records a lookup already created are handed out now; the rest are
+     born handed out. *)
+  for id = b.next to Stdlib.min b.stop (Array.length t.frames) - 1 do
+    if t.frames.(id) != missing then
+      hand_out_in_block t.frames.(id) ~poison:!debug_poison
+  done;
+  t.fresh <- b.stop;
+  if !debug_poison && k > 0 then t.poisoned <- (b.next, b.stop) :: t.poisoned;
+  count t ~n:k "frame_allocs";
+  for _ = k + 1 to n do
+    Queue.add (alloc t) b.queue
+  done;
+  b
+
+let block_take b =
+  if b.next < b.stop then begin
+    let id = b.next in
+    b.next <- id + 1;
+    Some (frame_by_id b.pm id)
+  end
+  else Queue.take_opt b.queue
+
+let block_add b frame = Queue.add frame b.queue
+let block_length b = b.stop - b.next + Queue.length b.queue
+
+let block_iter b f =
+  for id = b.next to b.stop - 1 do
+    f (frame_by_id b.pm id)
+  done;
+  Queue.iter f b.queue
+
 let zombie_count t = t.zombies
 let free_ids t =
-  List.init (total_frames t - t.fresh) (fun i -> t.fresh + i)
+  List.init (t.total - t.fresh) (fun i -> t.fresh + i)
   @ List.of_seq (Queue.to_seq t.free)

@@ -13,10 +13,11 @@ exception Out_of_frames
 
 val create : Machine.Machine_spec.t -> t
 (** Frame pool sized to the machine's physical memory.  It allocates no
-    frame: a frame's record is created when it is first handed out or
-    looked up ({!frame_by_id}), and its page when its bytes are first
-    touched (see {!Frame.data}), so creation costs O(frame count) words,
-    not the configured memory. *)
+    frame and no frame table: a frame's record is created when it is
+    first handed out or looked up ({!frame_by_id}), its page when its
+    bytes are first touched (see {!Frame.data}), and the table grows to
+    cover the highest id handed out or looked up, so creation costs
+    O(1) words, not the configured memory. *)
 
 val page_size : t -> int
 val total_frames : t -> int
@@ -61,12 +62,39 @@ val adopt : t -> Frame.t -> unit
     the final unreference must not free it.  No-op on allocated frames.
     @raise Invalid_argument on free frames. *)
 
+(** {1 Blocks}
+
+    A block hands out [n] frames at once, in the order [n] calls to
+    {!alloc} would take them, without creating their records: a frame in
+    the block is born [Allocated] at its first {!block_take} or
+    {!frame_by_id}, and poisoned if {!debug_poison} was set when the
+    block was handed out.  A block is also a FIFO: frames added with
+    {!block_add} are taken after the ones it was handed out with. *)
+
+type block
+
+val alloc_block : t -> int -> block
+(** Hand out [n] frames as a block.
+    @raise Out_of_frames, handing out nothing, when fewer than [n]
+    frames are free. *)
+
+val block_take : block -> Frame.t option
+(** The block's oldest frame, [None] when it is empty. *)
+
+val block_add : block -> Frame.t -> unit
+val block_length : block -> int
+
+val block_iter : block -> (Frame.t -> unit) -> unit
+(** Every frame in the block, oldest first (creating the records of
+    frames not yet born). *)
+
 val zombie_count : t -> int
 (** Number of frames awaiting reclamation (for tests and monitoring). *)
 
 val frame_by_id : t -> int -> Frame.t
-(** The frame with this id, [0 <= id < total_frames t], creating its
-    record if it was never handed out. *)
+(** The frame with this id, creating its record if it was never handed
+    out or is an unborn block frame.
+    @raise Invalid_argument unless [0 <= id < total_frames t]. *)
 
 val free_ids : t -> int list
 (** Contents of the free list, in allocation order: never-allocated ids

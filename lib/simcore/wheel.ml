@@ -23,11 +23,22 @@
    Cancellation is lazy: [cancel] marks the entry's sequence number and
    decrements the size; the entry itself is swept out when its bucket is
    next scanned (or dropped at migration).  Both tables stay empty — and
-   cost nothing — unless [push_cancellable] is used. *)
+   cost nothing — unless [push_cancellable] is used.
+
+   A bucket record is born at the first push into its slot: until then
+   the slot holds the wheel's shared [empty] bucket, whose length stays
+   0, so scans and sweeps read it like any drained bucket and a wheel
+   that only ever touches a few slots pays for those few.  The slots
+   live in 256-slot chunks, not one 1,024-slot array: an array longer
+   than 256 words is born in the major heap, and [Array.make] first
+   forces a minor collection when its initial value — [empty] — is
+   still young. *)
 
 let bucket_bits = 10 (* 1024 ns per bucket *)
 let n_buckets = 1024
 let mask = n_buckets - 1
+let chunk_bits = 8 (* 256 slots per chunk *)
+let chunk_mask = (1 lsl chunk_bits) - 1
 
 type 'a bucket = {
   mutable keys : int array;
@@ -38,7 +49,8 @@ type 'a bucket = {
 
 type 'a t = {
   dummy : 'a;
-  buckets : 'a bucket array;
+  empty : 'a bucket; (* shared by every slot never pushed into *)
+  chunks : 'a bucket array array; (* slot [s] is [chunks.(s lsr chunk_bits)] *)
   mutable cur_abs : int; (* lower bound on pending near entries' buckets *)
   mutable near_count : int;
   far : (int * 'a) Heap.t; (* key -> (seq, value) *)
@@ -49,12 +61,16 @@ type 'a t = {
   cancelled : (int, unit) Hashtbl.t; (* cancelled, not yet swept *)
 }
 
+let new_bucket () = { keys = [||]; seqs = [||]; vals = [||]; len = 0 }
+
 let create ~dummy () =
+  let empty = new_bucket () in
   {
     dummy;
-    buckets =
-      Array.init n_buckets (fun _ ->
-          { keys = [||]; seqs = [||]; vals = [||]; len = 0 });
+    empty;
+    chunks =
+      Array.init (n_buckets lsr chunk_bits) (fun _ ->
+          Array.make (1 lsl chunk_bits) empty);
     cur_abs = 0;
     near_count = 0;
     far = Heap.create ();
@@ -64,6 +80,8 @@ let create ~dummy () =
     cancellable = Hashtbl.create 8;
     cancelled = Hashtbl.create 8;
   }
+
+let bucket t slot = t.chunks.(slot lsr chunk_bits).(slot land chunk_mask)
 
 let length t = t.size
 let is_empty t = t.size = 0
@@ -114,7 +132,17 @@ let sweep_bucket t b =
 let add_near t ~key ~seq v =
   let abs = abs_bucket key in
   if abs < t.cur_abs then t.cur_abs <- abs;
-  bucket_add t t.buckets.(abs land mask) ~key ~seq v;
+  let slot = abs land mask in
+  let b = bucket t slot in
+  let b =
+    if b != t.empty then b
+    else begin
+      let b = new_bucket () in
+      t.chunks.(slot lsr chunk_bits).(slot land chunk_mask) <- b;
+      b
+    end
+  in
+  bucket_add t b ~key ~seq v;
   t.near_count <- t.near_count + 1
 
 let insert t ~key ~seq v =
@@ -186,7 +214,7 @@ let rec find_min t =
       let b = ref t.cur_abs and scanned = ref 0 in
       let finished = ref false in
       while (not !finished) && !scanned < n_buckets && t.near_count > 0 do
-        let bk = t.buckets.(!b land mask) in
+        let bk = bucket t (!b land mask) in
         sweep_bucket t bk;
         for i = 0 to bk.len - 1 do
           if
@@ -231,7 +259,7 @@ let rec find_min t =
           done;
           find_min t
         end
-        else Some (t.buckets.(!best_b), !best_i)
+        else Some (bucket t !best_b, !best_i)
       end
     end
   end

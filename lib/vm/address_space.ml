@@ -354,9 +354,12 @@ let read t ~addr ~len =
       Memory.Frame.blit_out frame ~src_off:off ~dst:out ~dst_off:buf_off ~len);
   out
 
+let iter_write t ~addr ~len f =
+  iter_pages t ~addr ~len (fun ~vpn ~off ~buf_off ~len ->
+      f ~buf_off (resolve_write t ~vpn) ~off ~len)
+
 let write t ~addr src =
-  iter_pages t ~addr ~len:(Bytes.length src) (fun ~vpn ~off ~buf_off ~len ->
-      let frame = resolve_write t ~vpn in
+  iter_write t ~addr ~len:(Bytes.length src) (fun ~buf_off frame ~off ~len ->
       Memory.Frame.blit_in frame ~dst_off:off ~src ~src_off:buf_off ~len)
 
 let write_iov t ~addr iov =

@@ -72,6 +72,13 @@ val iter_read :
     callback ([buf_off] is the chunk's offset within the range) — the
     zero-copy analogue of {!read}. *)
 
+val iter_write :
+  t -> addr:int -> len:int ->
+  (buf_off:int -> Memory.Frame.t -> off:int -> len:int -> unit) -> unit
+(** Resolve the range for writing, with the same faulting behaviour and
+    page order as {!write}, and hand each physical chunk to the callback
+    to store into — {!write} without a source buffer. *)
+
 val touch : t -> addr:int -> len:int -> unit
 (** Fault in (for reading) every page of the range. *)
 

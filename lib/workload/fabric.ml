@@ -275,28 +275,35 @@ let run cfg =
      records the sojourn and sends the recycle back to the client. *)
   let serve p c =
     let rec post () =
-      ignore
-        (Genie.Endpoint.input c.eb ~sem:c.in_sem
-           ~spec:(Genie.Input_path.App_buffer c.rbuf)
-           ~on_complete:(fun r ->
-             if Genie.Input_path.ok r then
-               p.rx_bytes <- p.rx_bytes + r.Genie.Input_path.payload_len
-             else p.crc_failures <- p.crc_failures + 1;
-             c.rx_got <- c.rx_got + 1;
-             post ();
-             if c.rx_expected > 0 && c.rx_got >= c.rx_expected then begin
-               p.completed <- p.completed + 1;
-               Stats.Streaming_summary.add p.sojourn
-                 (Genie.Host.now_us p.b -. c.rx_start);
-               c.rx_expected <- 0;
-               (* Teardown travels back one propagation delay; only then
-                  is the circuit free for the next flow. *)
-               Simcore.Engine.schedule engine ~delay:prop (fun () ->
-                   let freed = Genie.Flow_table.free p.table c.fl_handle in
-                   assert freed;
-                   p.free.(p.free_top) <- c.ci;
-                   p.free_top <- p.free_top + 1)
-             end))
+      match
+        Genie.Endpoint.input c.eb ~sem:c.in_sem
+          ~spec:(Genie.Input_path.App_buffer c.rbuf)
+          ~on_complete:(fun r ->
+            if Genie.Input_path.ok r then
+              p.rx_bytes <- p.rx_bytes + r.Genie.Input_path.payload_len
+            else p.crc_failures <- p.crc_failures + 1;
+            c.rx_got <- c.rx_got + 1;
+            post ();
+            if c.rx_expected > 0 && c.rx_got >= c.rx_expected then begin
+              p.completed <- p.completed + 1;
+              Stats.Streaming_summary.add p.sojourn
+                (Genie.Host.now_us p.b -. c.rx_start);
+              c.rx_expected <- 0;
+              (* Teardown travels back one propagation delay; only then
+                 is the circuit free for the next flow. *)
+              Simcore.Engine.schedule engine ~delay:prop (fun () ->
+                  let freed = Genie.Flow_table.free p.table c.fl_handle in
+                  assert freed;
+                  p.free.(p.free_top) <- c.ci;
+                  p.free_top <- p.free_top + 1)
+            end)
+      with
+      | Ok _ -> ()
+      | Error `Again ->
+        (* Backpressure, as in [send_chunk]: re-post after the backoff. *)
+        p.retries <- p.retries + 1;
+        Simcore.Engine.schedule engine
+          ~delay:(Simcore.Sim_time.of_us cfg.retry_us) post
     in
     post ()
   in

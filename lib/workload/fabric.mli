@@ -43,7 +43,7 @@ type config = {
   size_max : int;  (** truncation of the size tail, bytes *)
   chunk_bytes : int;  (** flows stream as datagrams of this size *)
   credit_cells : int;  (** per-VC credit window on the client adapter *)
-  retry_us : float;  (** backoff before retrying an [`Again] output *)
+  retry_us : float;  (** backoff before retrying an [`Again] output or input *)
   adaptive : bool;
       (** give every circuit slot a {!Genie.Adapt} controller on its
           client host: each flow riding the slot starts on the learned
@@ -66,7 +66,8 @@ type outcome = {
   accepted : int;
   rejected : int;  (** arrivals that found no free circuit *)
   completed : int;  (** flows fully received server-side *)
-  retries : int;  (** chunk submissions backpressured and retried *)
+  retries : int;
+      (** chunk submissions and input posts backpressured and retried *)
   crc_failures : int;
   rx_bytes : int;
   duration_us : float;

@@ -36,6 +36,7 @@ type outcome = {
   mean_latency_us : float;
   max_latency_us : float;
   receiver_busy_fraction : float;
+  rejected : int;
 }
 
 (* {1 Fabric load sweeps}
@@ -140,35 +141,41 @@ let run cfg =
   let t_first_send = ref nan and t_last_recv = ref nan in
   (* Receiver: keep all buffers preposted, reposting on completion. *)
   let rec post_input i =
-    ignore
-    (Genie.Endpoint.input eb ~sem:cfg.sem
-      ~spec:(Genie.Input_path.App_buffer recv_bufs.(i))
-      ~on_complete:(fun r ->
-        if Genie.Input_path.ok r then begin
-          incr received;
-          bytes := !bytes + r.Genie.Input_path.payload_len;
-          t_last_recv := Genie.Host.now_us b;
-          (match Queue.take_opt submit_times with
-          | Some t ->
-            Stats.Streaming_summary.add latencies (Genie.Host.now_us b -. t)
-          | None -> ());
-          if !received + 8 <= cfg.datagrams then post_input i
-        end
-        else post_input i))
+    match
+      Genie.Endpoint.input eb ~sem:cfg.sem
+        ~spec:(Genie.Input_path.App_buffer recv_bufs.(i))
+        ~on_complete:(fun r ->
+          if Genie.Input_path.ok r then begin
+            incr received;
+            bytes := !bytes + r.Genie.Input_path.payload_len;
+            t_last_recv := Genie.Host.now_us b;
+            (match Queue.take_opt submit_times with
+            | Some t ->
+              Stats.Streaming_summary.add latencies (Genie.Host.now_us b -. t)
+            | None -> ());
+            if !received + 8 <= cfg.datagrams then post_input i
+          end
+          else post_input i)
+    with
+    | Ok _ -> ()
+    | Error `Again -> failwith "Load_sweep: app-buffer input rejected"
   in
   for i = 0 to Array.length recv_bufs - 1 do
     post_input i
   done;
   (* Sender: Poisson arrivals. *)
-  let sent = ref 0 in
+  let sent = ref 0 and rejected = ref 0 in
   let rec arrival () =
     if !sent < cfg.datagrams then begin
       let now = Genie.Host.now_us a in
       if Float.is_nan !t_first_send then t_first_send := now;
-      Queue.add now submit_times;
       let buf = send_bufs.(!sent mod Array.length send_bufs) in
       incr sent;
-      ignore (Genie.Endpoint.output ea ~sem:cfg.sem ~buf ());
+      (* Only an admitted datagram queues its send time: completions pair
+         with send times in order. *)
+      (match Genie.Endpoint.output ea ~sem:cfg.sem ~buf () with
+      | Ok _ -> Queue.add now submit_times
+      | Error `Again -> incr rejected);
       (* Exponential interarrival. *)
       let u = Float.max 1e-9 (Simcore.Rng.float rng) in
       let gap_us = -.mean_gap_us *. log u in
@@ -188,4 +195,5 @@ let run cfg =
     max_latency_us = Stats.Streaming_summary.max latencies;
     receiver_busy_fraction =
       Simcore.Sim_time.to_us (Simcore.Cpu.busy_time b.Genie.Host.cpu) /. elapsed;
+    rejected = !rejected;
   }

@@ -26,6 +26,7 @@ type outcome = {
   mean_latency_us : float;  (** submit-to-complete, including queueing *)
   max_latency_us : float;
   receiver_busy_fraction : float;
+  rejected : int;  (** outputs refused with [`Again] (frame exhaustion) *)
 }
 
 val run : config -> outcome

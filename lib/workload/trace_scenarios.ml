@@ -28,15 +28,24 @@ let make_buf host ~len =
     ~addr:(Vm.Address_space.base_addr region ~page_size:psize)
     ~len
 
+(* A scenario is a fixed script on a fresh world, so a rejected call is
+   a bug in the scenario, not load to account for. *)
+let send ep ~sem ~buf =
+  match Genie.Endpoint.output ep ~sem ~buf () with
+  | Ok _ -> ()
+  | Error `Again -> failwith "Trace_scenarios: output rejected"
+
+let post_input ep ~sem ~spec =
+  match Genie.Endpoint.input ep ~sem ~spec ~on_complete:(fun _ -> ()) with
+  | Ok _ -> ()
+  | Error `Again -> failwith "Trace_scenarios: input rejected"
+
 let transfer w ea eb ~sem_out ~sem_in ~len ~seed =
   let rbuf = make_buf (List.nth (Genie.World.hosts w) 1) ~len in
-  ignore
-    (Genie.Endpoint.input eb ~sem:sem_in
-       ~spec:(Genie.Input_path.App_buffer rbuf)
-       ~on_complete:(fun _ -> ()));
+  post_input eb ~sem:sem_in ~spec:(Genie.Input_path.App_buffer rbuf);
   let sbuf = make_buf (List.hd (Genie.World.hosts w)) ~len in
   Genie.Buf.fill_pattern sbuf ~seed;
-  ignore (Genie.Endpoint.output ea ~sem:sem_out ~buf:sbuf ());
+  send ea ~sem:sem_out ~buf:sbuf;
   sbuf
 
 let emulated_copy_run () =
@@ -65,14 +74,12 @@ let move_run () =
   let a = List.hd (Genie.World.hosts w) and b = List.nth (Genie.World.hosts w) 1 in
   let rspace = Genie.Host.new_space b in
   let len = 32768 in
-  ignore
-    (Genie.Endpoint.input eb ~sem:Sem.move
-       ~spec:(Genie.Input_path.Sys_alloc { space = rspace; len })
-       ~on_complete:(fun _ -> ()));
+  post_input eb ~sem:Sem.move
+    ~spec:(Genie.Input_path.Sys_alloc { space = rspace; len });
   (* Move output requires a moved-in (system-allocated) source region. *)
   let sbuf = Genie.Sys_buffers.alloc a (Genie.Host.new_space a) ~len in
   Genie.Buf.fill_pattern sbuf ~seed:7;
-  ignore (Genie.Endpoint.output ea ~sem:Sem.move ~buf:sbuf ());
+  send ea ~sem:Sem.move ~buf:sbuf;
   Genie.World.run w;
   trace
 

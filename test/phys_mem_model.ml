@@ -79,6 +79,15 @@ let alloc_many t n =
   in
   take [] n
 
+(* A block is [n] allocations made at once, then a FIFO. *)
+let alloc_block t n =
+  if free_frames t < n then raise Out_of_frames;
+  let q = Queue.create () in
+  for _ = 1 to n do
+    Queue.add (alloc t) q
+  done;
+  q
+
 let deallocate t f =
   match f.state with
   | Free | Zombie -> invalid_arg "Phys_mem_model.deallocate"

@@ -295,6 +295,87 @@ let test_pool_conservation () =
         (Genie.Host.pool_level w.Genie.World.b))
     Sem.all
 
+(* The overlay pool against the eager pool it replaced: [pool_frames]
+   allocations queued at creation, a borrow from physical memory when
+   the queue is empty, puts appended.  Takes and puts interleave; every
+   step must hand out the same frame id and leave the same level and
+   the same take order. *)
+let pool_matches_eager_queue =
+  QCheck.Test.make ~name:"overlay pool takes in eager-queue order" ~count:100
+    QCheck.(
+      pair (int_bound 24)
+        (list_of_size Gen.(int_range 1 60) (pair bool small_nat)))
+    (fun (pool_frames, script) ->
+      let spec = { light with Machine.Machine_spec.memory_mb = 1 } in
+      let host =
+        Genie.Host.create ~pool_frames (Simcore.Engine.create ())
+          Net.Net_params.oc3 spec ~name:"h"
+      in
+      (* A VM of its own, so its fault reserve takes the same ids. *)
+      let pm = (Vm.Vm_sys.create spec).Vm.Vm_sys.phys in
+      let eager = Queue.create () in
+      for _ = 1 to pool_frames do
+        Queue.add (Memory.Phys_mem.alloc pm) eager
+      done;
+      let id (f : Memory.Frame.t) = f.Memory.Frame.id in
+      let taken = ref [] in
+      let step (take, i) =
+        if take then begin
+          let got = Genie.Host.pool_take_opt host in
+          let want =
+            match Queue.take_opt eager with
+            | Some _ as f -> f
+            | None -> Some (Memory.Phys_mem.alloc pm)
+          in
+          (match (got, want) with
+          | Some f, Some g -> taken := (f, g) :: !taken
+          | _ -> ());
+          Option.map id got = Option.map id want
+        end
+        else begin
+          (match !taken with
+          | [] -> ()
+          | l ->
+            let ((f, g) as pair) = List.nth l (i mod List.length l) in
+            taken := List.filter (fun p -> p != pair) l;
+            Genie.Host.pool_put host f;
+            Queue.add g eager);
+          true
+        end
+      in
+      let order () =
+        let ids = ref [] in
+        Genie.Host.iter_pool host (fun f -> ids := id f :: !ids);
+        List.rev !ids = List.of_seq (Seq.map id (Queue.to_seq eager))
+      in
+      List.for_all
+        (fun op ->
+          step op && Genie.Host.pool_level host = Queue.length eager && order ())
+        script)
+
+(* Construction is pay-as-you-go: frame table, overlay pool, timer-wheel
+   buckets and endpoint rings are built on first use, so a probe world
+   costs a few thousand words (eager construction took ~33 K). *)
+let test_world_allocation () =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let n = 20 in
+  Gc.full_major ();
+  let w0 = words () in
+  let worlds =
+    List.init n (fun _ ->
+        let w = world () in
+        (w, Genie.World.endpoint_pair w ~vc:5 ~mode:Net.Adapter.Early_demux))
+  in
+  Gc.full_major ();
+  let per_world = (words () -. w0) /. float_of_int n in
+  ignore (Sys.opaque_identity worlds);
+  if per_world > 8000. then
+    Alcotest.failf "World.create + endpoint_pair allocates %.0f words (> 8,000)"
+      per_world
+
 let test_frame_conservation_steady_state () =
   (* Repeated transfers must not leak physical frames. *)
   List.iter
@@ -468,6 +549,9 @@ let suite =
     Alcotest.test_case "reverse copyout: threshold boundary" `Quick
       test_reverse_copyout_exact_threshold;
     Alcotest.test_case "overlay pool conservation" `Quick test_pool_conservation;
+    QCheck_alcotest.to_alcotest pool_matches_eager_queue;
+    Alcotest.test_case "world construction allocates under 8,000 words" `Quick
+      test_world_allocation;
     Alcotest.test_case "frame conservation in steady state" `Quick
       test_frame_conservation_steady_state;
     Alcotest.test_case "overrun fails strong input cleanly" `Quick

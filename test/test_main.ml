@@ -29,4 +29,5 @@ let () =
       ("adapt", Test_adapt.suite);
       ("check", Test_check.suite);
       ("bench", Test_bench.suite);
+      ("lint", Test_lint.suite);
     ]

@@ -151,6 +151,9 @@ type op =
   | Write of int * int * char  (** held frame, offset, byte *)
   | Lookup of int  (** any frame id, modulo *)
   | Poison of bool
+  | Alloc_block of int
+  | Block_take of int  (** from the n-th block, modulo *)
+  | Block_add of int * int  (** held frame into block *)
 
 let show_op = function
   | Alloc -> "alloc"
@@ -165,6 +168,9 @@ let show_op = function
   | Write (i, off, c) -> Printf.sprintf "write %d @%d %C" i off c
   | Lookup id -> Printf.sprintf "frame_by_id %d" id
   | Poison b -> Printf.sprintf "debug_poison %b" b
+  | Alloc_block n -> Printf.sprintf "alloc_block %d" n
+  | Block_take i -> Printf.sprintf "block_take %d" i
+  | Block_add (i, b) -> Printf.sprintf "block_add %d -> %d" i b
 
 let op_gen =
   QCheck.Gen.(
@@ -181,8 +187,11 @@ let op_gen =
         (3, map (fun i -> Unref_output i) i);
         (1, map (fun i -> Adopt i) i);
         (4, map3 (fun i off c -> Write (i, off, c)) i nat char);
-        (2, map (fun id -> Lookup id) i);
-        (1, map (fun b -> Poison b) bool);
+        (4, map (fun id -> Lookup id) i);
+        (2, map (fun b -> Poison b) bool);
+        (2, map (fun n -> Alloc_block n) (int_bound 12));
+        (4, map (fun i -> Block_take i) i);
+        (2, map2 (fun i b -> Block_add (i, b)) i i);
       ])
 
 let script =
@@ -221,6 +230,8 @@ let phys_mem_matches_model =
       (* (frame, model frame) pairs handed out and not yet back on the
          free list, in hand-out order. *)
       let held = ref [] in
+      (* (block, model queue) pairs, in hand-out order. *)
+      let blocks = ref [] in
       (* What a step checks itself: the same ids handed out (or the same
          exhaustion), the same frame looked up. *)
       let step_ok = ref true in
@@ -282,6 +293,34 @@ let phys_mem_matches_model =
           let id = id mod PM.total_frames pm in
           step_ok := same_frame (PM.frame_by_id pm id, M.frame_by_id m id)
         | Poison b -> PM.debug_poison := b
+        | Alloc_block n -> (
+          match PM.alloc_block pm n with
+          | b -> (
+            match M.alloc_block m n with
+            | q -> blocks := !blocks @ [ (b, q) ]
+            | exception M.Out_of_frames -> step_ok := false)
+          | exception PM.Out_of_frames ->
+            step_ok :=
+              (match M.alloc_block m n with
+              | _ -> false
+              | exception M.Out_of_frames -> true))
+        | Block_take i -> (
+          match !blocks with
+          | [] -> ()
+          | l ->
+            let b, q = List.nth l (i mod List.length l) in
+            hand_out
+              (fun () -> Option.to_list (PM.block_take b))
+              (fun () -> Option.to_list (Queue.take_opt q)))
+        | Block_add (i, j) -> (
+          match !blocks with
+          | [] -> ()
+          | l ->
+            let b, q = List.nth l (j mod List.length l) in
+            on_held allocated i (fun ((f, mf) as pair) ->
+                held := List.filter (fun p -> p != pair) !held;
+                PM.block_add b f;
+                Queue.add mf q))
       in
       let agree () =
         let ok =
@@ -290,6 +329,9 @@ let phys_mem_matches_model =
           && PM.free_ids pm = M.free_ids m
           && PM.zombie_count pm = M.zombie_count m
           && List.for_all same_frame !held
+          && List.for_all
+               (fun (b, q) -> PM.block_length b = Queue.length q)
+               !blocks
         in
         held := List.filter (fun ((f : F.t), _) -> f.F.state <> F.Free) !held;
         ok

@@ -60,14 +60,18 @@ let heap_property =
 (* {1 Timer wheel} *)
 
 (* Differential check against the reference Heap on an adversarial key
-   sequence: bursts of near keys, far-future keys that overflow into the
-   heap and must migrate back, equal keys that must pop in insertion
-   order, and interleaved pops that drag the cursor forward. *)
+   sequence: bursts of near keys, sparse keys spread across the whole
+   near window (so pushes land in slots never touched before), far-future
+   keys that overflow into the heap and must migrate back, equal keys
+   that must pop in insertion order, and interleaved pops that drag the
+   cursor forward. *)
 let wheel_matches_heap =
   QCheck.Test.make ~count:200 ~name:"wheel pops in exact heap order"
     QCheck.(
       list
-        (pair (oneofl [ `Push_near; `Push_far; `Push_dup; `Pop ]) small_nat))
+        (pair
+           (oneofl [ `Push_near; `Push_sparse; `Push_far; `Push_dup; `Pop ])
+           small_nat))
     (fun script ->
       let w = Simcore.Wheel.create ~dummy:0 () in
       let h = Simcore.Heap.create () in
@@ -92,6 +96,12 @@ let wheel_matches_heap =
               Simcore.Wheel.push w ~key n;
               Simcore.Heap.push h ~key n;
               ok := Simcore.Wheel.length w = Simcore.Heap.length h
+            | `Push_sparse ->
+              (* ~10 buckets apart: up to 100 distinct slots. *)
+              let key = !floor + (n * 10_007) in
+              last_key := key;
+              Simcore.Wheel.push w ~key n;
+              Simcore.Heap.push h ~key n
             | `Push_far ->
               (* Far beyond the 2^20 ns near window. *)
               let key = !floor + 2_000_000 + (n * 131) in
