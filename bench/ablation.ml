@@ -29,12 +29,17 @@ let tcow c =
       Genie.Buf.make sb ~addr:(Vm.Address_space.base_addr rregion ~page_size:psize) ~len
     in
     let got = ref Bytes.empty in
-    ignore
-    (Genie.Endpoint.input eb ~sem ~spec:(Genie.Input_path.App_buffer rbuf)
-      ~on_complete:(fun r ->
-        ignore r;
-        got := Genie.Buf.read rbuf));
-    ignore (Genie.Endpoint.output ea ~sem ~buf ());
+    (match
+       Genie.Endpoint.input eb ~sem ~spec:(Genie.Input_path.App_buffer rbuf)
+         ~on_complete:(fun r ->
+           ignore r;
+           got := Genie.Buf.read rbuf)
+     with
+    | Ok _ -> ()
+    | Error `Again -> failwith "tcow ablation: input rejected");
+    (match Genie.Endpoint.output ea ~sem ~buf () with
+    | Ok _ -> ()
+    | Error `Again -> failwith "tcow ablation: output rejected");
     (* Immediately after the call returns, scribble over the buffer. *)
     Genie.Buf.write buf (Bytes.make len 'X');
     Genie.World.run w;

@@ -34,14 +34,14 @@ let run c =
       let winner_us = List.assoc v.A.c_winner v.A.c_static_us in
       let name = v.A.c_regime in
       R.scalar c ~name:(Printf.sprintf "adaptive.%s.settled" name)
-        ~unit_:"bool" ~kind:R.Sim ~better:R.Higher
+        ~unit_:"bool" ~better:R.Higher
         (if v.A.c_settled then 1. else 0.);
       R.scalar c ~name:(Printf.sprintf "adaptive.%s.winner_us" name)
-        ~unit_:"us" ~kind:R.Sim ~better:R.Lower winner_us;
+        ~unit_:"us" ~better:R.Lower winner_us;
       R.scalar c ~name:(Printf.sprintf "adaptive.%s.adaptive_us" name)
-        ~unit_:"us" ~kind:R.Sim ~better:R.Lower v.A.c_adaptive_us;
+        ~unit_:"us" ~better:R.Lower v.A.c_adaptive_us;
       R.scalar c ~name:(Printf.sprintf "adaptive.%s.migrations" name)
-        ~unit_:"count" ~kind:R.Sim ~better:R.Lower
+        ~unit_:"count" ~better:R.Lower
         (float_of_int v.A.c_migrations);
       (* Every static candidate's mean RTT: the landscape the controller
          searched, pinned so regime redefinitions show up in compare. *)
@@ -49,7 +49,7 @@ let run c =
         (fun (cand, us) ->
           R.scalar c
             ~name:(Printf.sprintf "adaptive.%s.static.%s_us" name (slug cand))
-            ~unit_:"us" ~kind:R.Sim ~better:R.Lower us)
+            ~unit_:"us" ~better:R.Lower us)
         v.A.c_static_us;
       Stats.Text_table.add_row t
         [
@@ -77,23 +77,23 @@ let run c =
     (fun (cand, us) ->
       R.scalar c
         ~name:(Printf.sprintf "adaptive.mixed.static.%s_us" (slug cand))
-        ~unit_:"us" ~kind:R.Sim ~better:R.Lower us;
+        ~unit_:"us" ~better:R.Lower us;
       Printf.printf "  static   %-16s %10.2f us\n" cand us)
     v.A.c_static_us;
   Printf.printf "  adaptive %-16s %10.2f us  (%d migrations, cap %d)\n"
     v.A.c_final v.A.c_adaptive_us v.A.c_migrations cap;
-  R.scalar c ~name:"adaptive.mixed.adaptive_us" ~unit_:"us" ~kind:R.Sim
+  R.scalar c ~name:"adaptive.mixed.adaptive_us" ~unit_:"us"
     ~better:R.Lower v.A.c_adaptive_us;
-  R.scalar c ~name:"adaptive.mixed.best_static_us" ~unit_:"us" ~kind:R.Sim
+  R.scalar c ~name:"adaptive.mixed.best_static_us" ~unit_:"us"
     ~better:R.Lower best_us;
   let gain = 100. *. (best_us -. v.A.c_adaptive_us) /. best_us in
-  R.scalar c ~name:"adaptive.mixed.gain_pct" ~unit_:"%" ~kind:R.Sim
+  R.scalar c ~name:"adaptive.mixed.gain_pct" ~unit_:"%"
     ~better:R.Higher gain;
   R.scalar c ~name:"adaptive.mixed.beats_every_static" ~unit_:"bool"
-    ~kind:R.Sim ~better:R.Higher
+    ~better:R.Higher
     (if v.A.c_adaptive_us < best_us then 1. else 0.);
   R.scalar c ~name:"adaptive.mixed.migrations_within_cap" ~unit_:"bool"
-    ~kind:R.Sim ~better:R.Higher
+    ~better:R.Higher
     (if v.A.c_migrations <= cap then 1. else 0.);
   Printf.printf
     "  adaptation beats the best static (%s) by %.1f%% — no single corner \

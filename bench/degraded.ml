@@ -36,11 +36,14 @@ let one_way w ~sem ~len =
   Genie.Buf.fill_pattern src ~seed:3;
   let dst = make_buf w.Genie.World.b ~len in
   let done_at = ref nan in
-  ignore
-    (Genie.Endpoint.input eb ~sem ~spec:(Genie.Input_path.App_buffer dst)
+  (match
+     Genie.Endpoint.input eb ~sem ~spec:(Genie.Input_path.App_buffer dst)
        ~on_complete:(fun r ->
          if not (Genie.Input_path.ok r) then failwith "degraded-mode transfer failed";
-         done_at := Genie.Host.now_us w.Genie.World.b));
+         done_at := Genie.Host.now_us w.Genie.World.b)
+   with
+  | Ok _ -> ()
+  | Error `Again -> failwith "degraded-mode input rejected");
   let t0 = Genie.Host.now_us w.Genie.World.a in
   let used =
     match Genie.Endpoint.output ea ~sem ~buf:src () with
@@ -115,10 +118,13 @@ let reclaim c =
      pageout reclaim. *)
   hog_frames w.Genie.World.a ~pageable:true ~spare:4;
   let done_at = ref nan in
-  ignore
-    (Genie.Endpoint.input eb ~sem:Sem.copy ~spec:(Genie.Input_path.App_buffer dst)
+  (match
+     Genie.Endpoint.input eb ~sem:Sem.copy ~spec:(Genie.Input_path.App_buffer dst)
        ~on_complete:(fun r ->
-         if (Genie.Input_path.ok r) then done_at := Genie.Host.now_us w.Genie.World.b));
+         if Genie.Input_path.ok r then done_at := Genie.Host.now_us w.Genie.World.b)
+   with
+  | Ok _ -> ()
+  | Error `Again -> failwith "reclaim input rejected");
   let t0 = Genie.Host.now_us w.Genie.World.a in
   let admitted =
     match Genie.Endpoint.output ea ~sem:Sem.copy ~buf:src () with

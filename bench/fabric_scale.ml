@@ -5,16 +5,16 @@
    ports, Pareto(1.3) sizes, load 0.7):
 
    - scale: one full run; delivered throughput, sojourn percentiles and
-     the accounting identities are [Sim] (deterministic, gated
-     strictly), the flow setup+teardown rate is [Wall];
+     the accounting identities;
    - memory bound: offering 4x the flows must leave the flow-table
      capacity and the streaming-summary footprint unchanged -- state is
-     O(active flows), not O(offered flows).  The paired high-water /
-     capacity numbers are [Sim]; the 0/1 bounded indicator gates the
-     claim;
+     O(active flows), not O(offered flows).  The 0/1 bounded indicator
+     gates the claim;
    - knee: the closed-loop load sweep bisects for the highest load
-     whose p99 sojourn meets a budget.  The probe count and the knee
-     load are deterministic, so both are [Sim]. *)
+     whose p99 sojourn meets a budget.
+
+   Every number is deterministic, so all are gated strictly.  Host
+   flows per second is perfbench's [fabric_bulk] workload. *)
 
 module R = Stats.Bench_result
 module S = Stats.Streaming_summary
@@ -28,29 +28,24 @@ let run c =
   Printf.printf "\n=== Fan-in fabric: flow scale, memory bound, load knee ===\n\n";
   let cfg = Fabric.default in
 
-  (* {1 Scale: one full run, wall-clocked} *)
-  let t0 = Unix.gettimeofday () in
+  (* {1 Scale: one full run} *)
   let o = Fabric.run cfg in
-  let wall = Unix.gettimeofday () -. t0 in
-  let flows_per_sec = float_of_int o.Fabric.accepted /. wall in
-  R.scalar c ~name:"fabric.flows" ~unit_:"count" ~kind:R.Sim ~better:R.Neutral
+  R.scalar c ~name:"fabric.flows" ~unit_:"count" ~better:R.Neutral
     (float_of_int o.Fabric.offered);
-  R.scalar c ~name:"fabric.completed" ~unit_:"count" ~kind:R.Sim
+  R.scalar c ~name:"fabric.completed" ~unit_:"count"
     ~better:R.Higher
     (float_of_int o.Fabric.completed);
-  R.scalar c ~name:"fabric.delivered_mbps" ~unit_:"Mbps" ~kind:R.Sim
+  R.scalar c ~name:"fabric.delivered_mbps" ~unit_:"Mbps"
     ~better:R.Higher o.Fabric.delivered_mbps;
-  R.scalar c ~name:"fabric.sojourn_p50_us" ~unit_:"us" ~kind:R.Sim
+  R.scalar c ~name:"fabric.sojourn_p50_us" ~unit_:"us"
     ~better:R.Lower (q o 0.5);
-  R.scalar c ~name:"fabric.sojourn_p99_us" ~unit_:"us" ~kind:R.Sim
+  R.scalar c ~name:"fabric.sojourn_p99_us" ~unit_:"us"
     ~better:R.Lower (q o 0.99);
-  R.scalar c ~name:"fabric.sojourn_p999_us" ~unit_:"us" ~kind:R.Sim
+  R.scalar c ~name:"fabric.sojourn_p999_us" ~unit_:"us"
     ~better:R.Lower (q o 0.999);
-  R.scalar c ~name:"fabric.flow_rate" ~unit_:"flows/s" ~kind:R.Wall
-    ~better:R.Higher flows_per_sec;
   (* The books must balance: every arrival is accepted or refused, and
      every accepted flow drains before [run] returns. *)
-  R.scalar c ~name:"fabric.accounting_ok" ~unit_:"bool" ~kind:R.Sim
+  R.scalar c ~name:"fabric.accounting_ok" ~unit_:"bool"
     ~better:R.Higher
     (if
        o.Fabric.offered = o.Fabric.accepted + o.Fabric.rejected
@@ -59,22 +54,12 @@ let run c =
      else 0.);
   Printf.printf
     "%d flows: %d completed, %.1f Mbps delivered, sojourn p50/p99 =\n\
-     %.0f/%.0f us, %.0f flows/s wall.\n\n"
+     %.0f/%.0f us.\n\n"
     o.Fabric.offered o.Fabric.completed o.Fabric.delivered_mbps (q o 0.5)
-    (q o 0.99) flows_per_sec;
+    (q o 0.99);
 
   (* {1 Memory bound: 4x the offered flows, same footprint} *)
-  (* Peak live state is measured with the collector itself: a full
-     major collection right after each run, with the outcome still
-     reachable, counts every word of retained flow/pool/summary state.
-     O(offered) state would show a ~4x jump here; O(active) state
-     shows churn noise only, so a 1.5x ceiling separates them with
-     margin.  Live words are allocator-sensitive, hence [Wall]. *)
-  Gc.full_major ();
-  let live1 = (Gc.stat ()).Gc.live_words in
   let o4 = Fabric.run { cfg with Fabric.flows = 4 * cfg.Fabric.flows } in
-  Gc.full_major ();
-  let live4 = (Gc.stat ()).Gc.live_words in
   let words = S.memory_words o.Fabric.sojourn_us
   and words4 = S.memory_words o4.Fabric.sojourn_us in
   let bounded =
@@ -96,25 +81,19 @@ let run c =
         ])
     [ o; o4 ];
   Stats.Text_table.print t;
-  R.scalar c ~name:"fabric.table_capacity" ~unit_:"slots" ~kind:R.Sim
+  R.scalar c ~name:"fabric.table_capacity" ~unit_:"slots"
     ~better:R.Lower
     (float_of_int o.Fabric.table_capacity);
-  R.scalar c ~name:"fabric.active_high_water" ~unit_:"flows" ~kind:R.Sim
+  R.scalar c ~name:"fabric.active_high_water" ~unit_:"flows"
     ~better:R.Neutral
     (float_of_int o.Fabric.active_high_water);
-  R.scalar c ~name:"fabric.memory_bounded" ~unit_:"bool" ~kind:R.Sim
+  R.scalar c ~name:"fabric.memory_bounded" ~unit_:"bool"
     ~better:R.Higher
     (if bounded then 1. else 0.);
-  R.scalar c ~name:"fabric.live_words" ~unit_:"words" ~kind:R.Wall
-    ~better:R.Lower (float_of_int live1);
-  R.scalar c ~name:"fabric.live_words_bounded" ~unit_:"bool" ~kind:R.Wall
-    ~better:R.Higher
-    (if float_of_int live4 <= 1.5 *. float_of_int live1 then 1. else 0.);
   Printf.printf
-    "4x the offered flows leaves the flow table at %d slots, the\n\
-     sojourn summaries at %d words and the live heap at %d words\n\
-     (vs %d): state is O(active), not O(offered).\n\n"
-    o4.Fabric.table_capacity words4 live4 live1;
+    "4x the offered flows leaves the flow table at %d slots and the\n\
+     sojourn summaries at %d words: state is O(active), not O(offered).\n\n"
+    o4.Fabric.table_capacity words4;
 
   (* {1 Closed-loop knee: highest load meeting a p99 budget} *)
   let probe_cfg = { cfg with Fabric.flows = 600 } in
@@ -137,9 +116,9 @@ let run c =
         ])
     probes;
   Stats.Text_table.print kt;
-  R.scalar c ~name:"fabric.knee_load" ~unit_:"load" ~kind:R.Sim
+  R.scalar c ~name:"fabric.knee_load" ~unit_:"load"
     ~better:R.Higher knee.Load_sweep.load;
-  R.scalar c ~name:"fabric.knee_p99_us" ~unit_:"us" ~kind:R.Sim
+  R.scalar c ~name:"fabric.knee_p99_us" ~unit_:"us"
     ~better:R.Lower knee.Load_sweep.p99_us;
   Printf.printf
     "Knee: load %.3f is the highest probed offer whose p99 sojourn\n\

@@ -39,15 +39,20 @@ let measure send_sem recv_sem =
     end
   in
   let done_at = ref nan in
-  ignore
-  (Genie.Endpoint.input eb ~sem:recv_sem ~spec ~on_complete:(fun r ->
-      if not (Genie.Input_path.ok r) then failwith "mixed transfer failed";
-      done_at := Genie.Host.now_us w.Genie.World.b));
+  (match
+     Genie.Endpoint.input eb ~sem:recv_sem ~spec ~on_complete:(fun r ->
+         if not (Genie.Input_path.ok r) then failwith "mixed transfer failed";
+         done_at := Genie.Host.now_us w.Genie.World.b)
+   with
+  | Ok _ -> ()
+  | Error `Again -> failwith "mixed input rejected");
   (* Warm the path once (region caches, etc.) would complicate
      system-allocated buffers; a single cold transfer is fine here since
      region allocation costs are charged identically in the composition. *)
   let t0 = Genie.Host.now_us w.Genie.World.a in
-  ignore (Genie.Endpoint.output ea ~sem:send_sem ~buf ());
+  (match Genie.Endpoint.output ea ~sem:send_sem ~buf () with
+  | Ok _ -> ()
+  | Error `Again -> failwith "mixed output rejected");
   Genie.World.run w;
   !done_at -. t0
 

@@ -581,27 +581,6 @@ let bench_compare_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"CURRENT" ~doc:"Current BENCH_*.json file or directory.")
   in
-  let sim_threshold_arg =
-    Arg.(value & opt float Stats.Bench_compare.default_sim_threshold
-         & info [ "sim-threshold" ] ~docv:"FRACTION"
-             ~doc:
-               "Allowed relative change for deterministic simulated-time \
-                metrics (default strict: $(docv)=0.001, i.e. 0.1%).")
-  in
-  let wall_threshold_arg =
-    Arg.(value & opt float Stats.Bench_compare.default_wall_threshold
-         & info [ "threshold"; "wall-threshold" ] ~docv:"FRACTION"
-             ~doc:
-               "Allowed relative change for wall-clock metrics (default \
-                tolerant: $(docv)=0.10, i.e. 10%).")
-  in
-  let ignore_wall_arg =
-    Arg.(value & flag
-         & info [ "ignore-wall" ]
-             ~doc:
-               "Report wall-clock regressions but do not fail on them \
-                (useful on noisy shared CI runners).")
-  in
   (* A baseline file pairs with either the same-named file in the current
      directory or the current path itself; a baseline directory pairs
      every BENCH_*.json it contains. *)
@@ -623,7 +602,7 @@ let bench_compare_cmd =
       [ (baseline, Filename.concat current (Filename.basename baseline)) ]
     else [ (baseline, current) ]
   in
-  let run baseline current sim_threshold wall_threshold ignore_wall =
+  let run baseline current =
     if not (Sys.file_exists baseline) then begin
       Printf.eprintf "baseline %s does not exist\n" baseline;
       exit 2
@@ -646,17 +625,14 @@ let bench_compare_cmd =
               Printf.eprintf "error reading current: %s\n" e;
               false
             | Ok cur ->
-              let report =
-                Stats.Bench_compare.compare ~sim_threshold
-                  ~wall_threshold ~baseline:b ~current:cur ()
-              in
+              let report = Stats.Bench_compare.compare ~baseline:b ~current:cur () in
               print_string (Stats.Bench_compare.render report);
-              Stats.Bench_compare.passed ~ignore_wall report))
+              Stats.Bench_compare.passed report))
         pairs
     in
     if ok then print_endline "bench compare: OK"
     else begin
-      Printf.eprintf "bench compare: FAILED (regression or missing metric)\n";
+      Printf.eprintf "bench compare: FAILED (drift or missing metric)\n";
       exit 1
     end
   in
@@ -664,17 +640,16 @@ let bench_compare_cmd =
     (Cmd.info "compare"
        ~doc:
          "Diff current BENCH_*.json results against a baseline; exit \
-          non-zero when any metric regresses beyond its threshold or \
-          disappears.")
-    Term.(const run $ baseline_arg $ current_arg $ sim_threshold_arg
-          $ wall_threshold_arg $ ignore_wall_arg)
+          non-zero when any metric's mean moves by more than 0.1% in \
+          either direction, or disappears.")
+    Term.(const run $ baseline_arg $ current_arg)
 
 let bench_cmd =
   Cmd.group
     (Cmd.info "bench"
        ~doc:
          "Machine-readable benchmark harness: run sections to JSON and \
-          gate on perf regressions.")
+          gate on any drift of the simulated results.")
     [ bench_run_cmd; bench_compare_cmd ]
 
 let adapt_cmd =

@@ -18,6 +18,14 @@ let psize = 4096
 let slice_bytes = 32768 (* an 8-page halo slice *)
 let iterations = 20
 
+(* [Error `Again] is transient backpressure: nothing was sent or posted,
+   and the caller may retry once memory pressure drains.  The exchange
+   keeps one slice in flight per direction, far from exhausting memory,
+   so here a rejection is a bug. *)
+let admitted what = function
+  | Ok _ -> ()
+  | Error `Again -> failwith (what ^ " rejected: memory pressure")
+
 let exchange sem ~aligned =
   let world = Genie.World.create () in
   let ea, eb = Genie.World.endpoint_pair world ~vc:1 ~mode:Net.Adapter.Pooled in
@@ -44,17 +52,17 @@ let exchange sem ~aligned =
       incr iter;
       (* B computes on the slice and returns it (echo models the
          neighbour's reciprocal send). *)
-      ignore
-      (Genie.Endpoint.input eb ~sem ~spec:(Genie.Input_path.App_buffer in_b)
-        ~on_complete:(fun r ->
-          if not (Genie.Input_path.ok r) then failwith "exchange failed";
-          ignore (Genie.Endpoint.output eb ~sem ~buf:in_b ())));
-      ignore (Genie.Endpoint.output ea ~sem ~buf:out_a ());
-      ignore
-      (Genie.Endpoint.input ea ~sem ~spec:(Genie.Input_path.App_buffer in_a)
-        ~on_complete:(fun r ->
-          if not (Genie.Input_path.ok r) then failwith "exchange failed";
-          round ()))
+      admitted "halo input"
+        (Genie.Endpoint.input eb ~sem ~spec:(Genie.Input_path.App_buffer in_b)
+           ~on_complete:(fun r ->
+             if not (Genie.Input_path.ok r) then failwith "exchange failed";
+             admitted "echo output" (Genie.Endpoint.output eb ~sem ~buf:in_b ())));
+      admitted "halo output" (Genie.Endpoint.output ea ~sem ~buf:out_a ());
+      admitted "echo input"
+        (Genie.Endpoint.input ea ~sem ~spec:(Genie.Input_path.App_buffer in_a)
+           ~on_complete:(fun r ->
+             if not (Genie.Input_path.ok r) then failwith "exchange failed";
+             round ()))
     end
     else t1 := Genie.Host.now_us world.Genie.World.a
   in

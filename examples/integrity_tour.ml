@@ -39,10 +39,17 @@ let run_one sem =
     end
   in
   let received = ref None in
-  ignore
-  (Genie.Endpoint.input eb ~sem ~spec ~on_complete:(fun r ->
-      received := r.Genie.Input_path.buf));
-  ignore (Genie.Endpoint.output ea ~sem ~buf ());
+  (* [Error `Again] is backpressure under memory exhaustion: nothing was
+     posted or sent, and the receiver below then sees nothing. *)
+  (match
+     Genie.Endpoint.input eb ~sem ~spec ~on_complete:(fun r ->
+         received := r.Genie.Input_path.buf)
+   with
+  | Ok _ -> ()
+  | Error `Again -> print_endline "input rejected: memory pressure");
+  (match Genie.Endpoint.output ea ~sem ~buf () with
+  | Ok _ -> ()
+  | Error `Again -> print_endline "output rejected: memory pressure");
 
   (* The application immediately overwrites its buffer. *)
   let overwrite =

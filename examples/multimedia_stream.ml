@@ -16,6 +16,14 @@ let frame_bytes = 61440
 let frames_to_send = 50
 let psize = 4096
 
+(* [Error `Again] is transient backpressure: nothing was sent or posted,
+   and the caller may retry once memory pressure drains.  The stream
+   keeps one frame in flight, far from exhausting memory, so here a
+   rejection is a bug. *)
+let admitted what = function
+  | Ok _ -> ()
+  | Error `Again -> failwith (what ^ " rejected: memory pressure")
+
 let stream sem =
   let world = Genie.World.create () in
   let ea, eb = Genie.World.endpoint_pair world ~vc:1 ~mode:Net.Adapter.Early_demux in
@@ -43,13 +51,13 @@ let stream sem =
   let received = ref 0 in
   let t_start = ref 0. and t_end = ref 0. in
   let rec post_input () =
-    ignore
-    (Genie.Endpoint.input eb ~sem ~spec:(Genie.Input_path.App_buffer rbuf)
-      ~on_complete:(fun r ->
-        if not (Genie.Input_path.ok r) then failwith "frame dropped";
-        incr received;
-        if !received < frames_to_send then post_input ()
-        else t_end := Genie.Host.now_us world.Genie.World.b))
+    admitted "frame input"
+      (Genie.Endpoint.input eb ~sem ~spec:(Genie.Input_path.App_buffer rbuf)
+         ~on_complete:(fun r ->
+           if not (Genie.Input_path.ok r) then failwith "frame dropped";
+           incr received;
+           if !received < frames_to_send then post_input ()
+           else t_end := Genie.Host.now_us world.Genie.World.b))
   in
   let sent = ref 0 in
   let rec send_next () =
@@ -58,7 +66,8 @@ let stream sem =
       incr sent;
       (* Pipelined: the next send is issued when this one's dispose
          completes, like a sender blocking on a full transmit queue. *)
-      ignore (Genie.Endpoint.output ea ~sem ~buf ~on_complete:send_next ())
+      admitted "frame output"
+        (Genie.Endpoint.output ea ~sem ~buf ~on_complete:send_next ())
     end
   in
   post_input ();

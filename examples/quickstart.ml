@@ -33,17 +33,20 @@ let () =
   in
 
   let t_send = ref 0. in
-  ignore
-  (Genie.Endpoint.input receiver_ep ~sem:Genie.Semantics.emulated_copy
-    ~spec:(Genie.Input_path.App_buffer recv_buf)
-    ~on_complete:(fun result ->
-      let now = Genie.Host.now_us world.Genie.World.b in
-      Printf.printf "received %d bytes after %.1f usec (ok=%b, seq=%d)\n"
-        result.Genie.Input_path.payload_len (now -. !t_send)
-        (Genie.Input_path.ok result) result.Genie.Input_path.seq;
-      match result.Genie.Input_path.buf with
-      | Some b -> Printf.printf "payload: %s\n" (Bytes.to_string (Genie.Buf.read b))
-      | None -> print_endline "no data"));
+  (match
+     Genie.Endpoint.input receiver_ep ~sem:Genie.Semantics.emulated_copy
+       ~spec:(Genie.Input_path.App_buffer recv_buf)
+       ~on_complete:(fun result ->
+         let now = Genie.Host.now_us world.Genie.World.b in
+         Printf.printf "received %d bytes after %.1f usec (ok=%b, seq=%d)\n"
+           result.Genie.Input_path.payload_len (now -. !t_send)
+           (Genie.Input_path.ok result) result.Genie.Input_path.seq;
+         match result.Genie.Input_path.buf with
+         | Some b -> Printf.printf "payload: %s\n" (Bytes.to_string (Genie.Buf.read b))
+         | None -> print_endline "no data")
+   with
+  | Ok _ -> ()
+  | Error `Again -> print_endline "input rejected: memory pressure");
 
   t_send := Genie.Host.now_us world.Genie.World.a;
   (match

@@ -65,10 +65,3 @@ let decode_iov cells =
       else if cells_for_len len * cell_payload <> total then Error `Bad_length
       else Ok (Memory.Iovec.sub framed ~off:0 ~len)
     end
-
-let encode payload =
-  List.map Memory.Iovec.to_bytes (encode_iov (Memory.Iovec.of_bytes payload))
-
-let decode cells =
-  Result.map Memory.Iovec.to_bytes
-    (decode_iov (List.map Memory.Iovec.of_bytes cells))

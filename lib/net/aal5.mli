@@ -3,8 +3,8 @@
     An AAL5 PDU is the payload, zero padding, and an 8-byte trailer
     (UU, CPI, 16-bit length, CRC-32) packed into a whole number of
     48-byte cell payloads.  The adapter uses [cells_for_len] for wire
-    timing; [encode]/[decode] implement the real cellification and are
-    exercised by the test suite and the quickstart example. *)
+    timing; [encode_iov]/[decode_iov] implement the real cellification,
+    exercised by the test suite and perfbench's net-layer probe. *)
 
 val cell_payload : int
 (** 48 bytes. *)
@@ -33,11 +33,5 @@ val encode_iov : Memory.Iovec.t -> Memory.Iovec.t list
 
 val decode_iov : Memory.Iovec.t list -> (Memory.Iovec.t, error) result
 (** Reassemble cell views; the result aliases the cells' storage. *)
-
-val encode : bytes -> bytes list
-(** Split a payload into 48-byte cell payloads, padded, with trailer.
-    Materializing wrapper over {!encode_iov}. *)
-
-val decode : bytes list -> (bytes, error) result
 
 val pp_error : Format.formatter -> error -> unit

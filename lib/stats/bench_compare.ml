@@ -1,29 +1,26 @@
 (* Regression gate: diff two Bench_result.t values metric by metric.
 
-   Simulated-time metrics ([Bench_result.Sim]) come from a deterministic
-   simulator, so they are exactly reproducible run to run and get a
-   strict threshold (default 0.1%, absorbing only serialization
-   rounding).  Wall-clock metrics ([Wall]) measure the reproduction
-   itself on whatever machine ran it and get a tolerant threshold
-   (default 10%).
+   Every metric comes from a deterministic simulator, so it is exactly
+   reproducible run to run.  A mean that moves by more than
+   [threshold_pct] (0.1%, absorbing only serialization rounding) in
+   either direction fails: a simulated result changes only with a refreshed baseline.
 
-   A metric's [better] direction decides what counts as a regression:
-   [Lower]-is-better regresses when the current mean exceeds baseline by
-   more than the threshold, [Higher]-is-better when it falls short, and
-   [Neutral] (calibration values) when it drifts either way.  A metric
-   present in the baseline but absent from the current run is a failure;
-   a new metric in the current run is informational. *)
+   A metric's [better] direction only labels the drift, so whoever
+   refreshes a baseline sees which way the reproduction moved:
+   [Lower]-is-better reads a rise as a regression and a drop as an
+   improvement, [Higher]-is-better the reverse, and [Neutral]
+   (calibration values) any drift as a regression.  A metric present in
+   the baseline but absent from the current run is a failure; a new
+   metric in the current run is informational. *)
 
 type verdict = Within | Improvement | Regression
 
 type entry = {
   name : string;
   unit_ : string;
-  kind : Bench_result.kind;
   baseline_mean : float;
   current_mean : float;
   change_pct : float; (* signed, relative to baseline *)
-  threshold_pct : float;
   verdict : verdict;
 }
 
@@ -34,37 +31,27 @@ type report = {
   extra : string list; (* in current, not in baseline *)
 }
 
-let default_sim_threshold = 0.001
-let default_wall_threshold = 0.10
+let threshold_pct = 0.1
 
 let change_pct ~baseline ~current =
   if baseline = 0. then if current = 0. then 0. else Float.infinity
   else (current -. baseline) /. Float.abs baseline *. 100.
 
-let judge ~(better : Bench_result.better) ~threshold_pct ~change_pct =
-  let exceeds = Float.abs change_pct > threshold_pct in
-  if not exceeds then Within
+let judge ~(better : Bench_result.better) ~change_pct =
+  if Float.abs change_pct <= threshold_pct then Within
   else
     match better with
     | Bench_result.Neutral -> Regression
     | Bench_result.Lower -> if change_pct > 0. then Regression else Improvement
     | Bench_result.Higher -> if change_pct < 0. then Regression else Improvement
 
-let compare ?(sim_threshold = default_sim_threshold)
-    ?(wall_threshold = default_wall_threshold) ~(baseline : Bench_result.t)
-    ~(current : Bench_result.t) () =
+let compare ~(baseline : Bench_result.t) ~(current : Bench_result.t) () =
   let entries =
     List.filter_map
       (fun (bm : Bench_result.metric) ->
         match Bench_result.find_metric current bm.Bench_result.name with
         | None -> None
         | Some cm ->
-          let threshold =
-            match bm.Bench_result.kind with
-            | Bench_result.Sim -> sim_threshold
-            | Bench_result.Wall -> wall_threshold
-          in
-          let threshold_pct = threshold *. 100. in
           let baseline_mean = bm.Bench_result.summary.Summary.mean in
           let current_mean = cm.Bench_result.summary.Summary.mean in
           let change = change_pct ~baseline:baseline_mean ~current:current_mean in
@@ -72,12 +59,10 @@ let compare ?(sim_threshold = default_sim_threshold)
             {
               name = bm.Bench_result.name;
               unit_ = bm.Bench_result.unit_;
-              kind = bm.Bench_result.kind;
               baseline_mean;
               current_mean;
               change_pct = change;
-              threshold_pct;
-              verdict = judge ~better:bm.Bench_result.better ~threshold_pct ~change_pct:change;
+              verdict = judge ~better:bm.Bench_result.better ~change_pct:change;
             })
       baseline.Bench_result.metrics
   in
@@ -102,11 +87,7 @@ let compare ?(sim_threshold = default_sim_threshold)
 let regressions r = List.filter (fun e -> e.verdict = Regression) r.entries
 let improvements r = List.filter (fun e -> e.verdict = Improvement) r.entries
 
-(* Wall-clock regressions can be silenced (shared CI runners are noisy);
-   sim regressions and missing metrics always fail. *)
-let passed ?(ignore_wall = false) r =
-  r.missing = []
-  && List.for_all (fun e -> ignore_wall && e.kind = Bench_result.Wall) (regressions r)
+let passed r = r.missing = [] && List.for_all (fun e -> e.verdict = Within) r.entries
 
 let render r =
   let b = Buffer.create 256 in
@@ -117,9 +98,8 @@ let render r =
        (List.length r.missing) (List.length r.extra));
   let show e tag =
     Buffer.add_string b
-      (Printf.sprintf "  %s %-58s %14.6g -> %14.6g %s (%+.2f%%, threshold %.2f%%, %s)\n" tag
-         e.name e.baseline_mean e.current_mean e.unit_ e.change_pct e.threshold_pct
-         (match e.kind with Bench_result.Sim -> "sim" | Bench_result.Wall -> "wall"))
+      (Printf.sprintf "  %s %-58s %14.6g -> %14.6g %s (%+.2f%%, threshold %.2f%%)\n" tag
+         e.name e.baseline_mean e.current_mean e.unit_ e.change_pct threshold_pct)
   in
   List.iter (fun e -> show e "REGRESSION") bad;
   List.iter (fun e -> show e "improvement") good;

@@ -7,23 +7,18 @@
    schema documented in docs/BENCHMARKING.md and is written as
    BENCH_<section>.json.
 
-   Metric [kind] drives the regression gate: [Sim] metrics are measured
-   in simulated time or derived from it, so the deterministic simulator
-   makes them exactly reproducible and the gate can be strict; [Wall]
-   metrics are real wall-clock measurements of the reproduction itself
-   and get a tolerant threshold.  [better] says which direction is an
-   improvement; [Neutral] marks calibration values where any drift is a
-   regression. *)
+   Every metric comes from the deterministic simulator, so it is
+   exactly reproducible and the regression gate is strict about it.
+   [better] says which direction is an improvement; [Neutral] marks
+   calibration values. *)
 
 let schema_version = 1
 
-type kind = Sim | Wall
 type better = Lower | Higher | Neutral
 
 type metric = {
   name : string;
   unit_ : string;
-  kind : kind;
   better : better;
   samples : float list;
   summary : Summary.t;
@@ -57,18 +52,19 @@ let create_collector ~section () =
 let set_seed c seed = c.c_seed <- Some seed
 let set_created c created = c.c_created <- Some created
 
-let add c ~name ~unit_ ?(kind = Sim) ?(better = Lower) samples =
-  let samples = List.filter Float.is_finite samples in
-  match samples with
-  | [] -> () (* nothing measurable (e.g. a failed bechamel estimate) *)
-  | _ ->
-    if List.exists (fun m -> String.equal m.name name) c.c_rev_metrics then
-      invalid_arg (Printf.sprintf "Bench_result.add: duplicate metric %S" name);
-    c.c_rev_metrics <-
-      { name; unit_; kind; better; samples; summary = Summary.of_samples samples }
-      :: c.c_rev_metrics
+(* A non-finite sample is a broken run (a transfer that never
+   completed leaves its time at [nan]); it must fail the section, not
+   vanish from a refreshed baseline. *)
+let add c ~name ~unit_ ?(better = Lower) samples =
+  if not (List.for_all Float.is_finite samples) then
+    invalid_arg (Printf.sprintf "Bench_result.add: non-finite sample in %S" name);
+  if List.exists (fun m -> String.equal m.name name) c.c_rev_metrics then
+    invalid_arg (Printf.sprintf "Bench_result.add: duplicate metric %S" name);
+  c.c_rev_metrics <-
+    { name; unit_; better; samples; summary = Summary.of_samples samples }
+    :: c.c_rev_metrics
 
-let scalar c ~name ~unit_ ?kind ?better v = add c ~name ~unit_ ?kind ?better [ v ]
+let scalar c ~name ~unit_ ?better v = add c ~name ~unit_ ?better [ v ]
 
 let collector_is_empty c = c.c_rev_metrics = []
 
@@ -83,13 +79,6 @@ let result c =
 
 (* {1 JSON (de)serialization} *)
 
-let kind_name = function Sim -> "sim" | Wall -> "wall"
-
-let kind_of_name = function
-  | "sim" -> Some Sim
-  | "wall" -> Some Wall
-  | _ -> None
-
 let better_name = function Lower -> "lower" | Higher -> "higher" | Neutral -> "neutral"
 
 let better_of_name = function
@@ -103,7 +92,6 @@ let metric_to_json m =
     [
       ("name", Json.Str m.name);
       ("unit", Json.Str m.unit_);
-      ("kind", Json.Str (kind_name m.kind));
       ("better", Json.Str (better_name m.better));
       ("summary", Summary.to_json m.summary);
       ("samples", Json.List (List.map (fun s -> Json.Float s) m.samples));
@@ -137,11 +125,12 @@ let metric_of_json j =
   in
   let* name = str "name" in
   let* unit_ = str "unit" in
-  let* kind_s = str "kind" in
-  let* kind =
-    match kind_of_name kind_s with
-    | Some k -> Ok k
-    | None -> Error (Printf.sprintf "metric %s: unknown kind %S" name kind_s)
+  (* Files written while wall-clock metrics existed tag every metric
+     with a kind; "sim" is the only one still compared. *)
+  let* () =
+    match Option.bind (Json.member "kind" j) Json.to_str with
+    | None | Some "sim" -> Ok ()
+    | Some k -> Error (Printf.sprintf "metric %s: unsupported kind %S" name k)
   in
   let* better_s = str "better" in
   let* better =
@@ -167,7 +156,7 @@ let metric_of_json j =
       |> Result.map List.rev
     | None -> Error (Printf.sprintf "metric %s: missing samples" name)
   in
-  Ok { name; unit_; kind; better; samples; summary }
+  Ok { name; unit_; better; samples; summary }
 
 let of_json j =
   let ( let* ) = Result.bind in

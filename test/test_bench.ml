@@ -124,26 +124,35 @@ let sample_result () =
   R.set_created c "2026-01-01T00:00:00Z";
   R.add c ~name:"a.latency_us" ~unit_:"us" [ 1.5; 2.5; 3.5 ];
   R.scalar c ~name:"b.throughput_mbps" ~unit_:"Mbps" ~better:R.Higher 133.7;
-  R.scalar c ~name:"c.wall_ns" ~unit_:"ns" ~kind:R.Wall 250.;
+  R.scalar c ~name:"c.events" ~unit_:"count" 250.;
   R.scalar c ~name:"d.calib" ~unit_:"us/B" ~better:R.Neutral 0.018;
   R.result c
 
-(* Baselines written before the engine became sequential-only still
-   carry ["domains": 1] in their env stamp; they must keep parsing. *)
-let with_domains_stamp = function
+(* Committed baselines carry two fields the writer no longer emits:
+   ["domains": 1] in the env stamp (from before the engine became
+   sequential-only) and ["kind": "sim"] on every metric (from when
+   wall-clock metrics existed).  Both must keep parsing. *)
+let with_legacy_fields = function
   | J.Obj fields ->
     J.Obj
       (List.map
          (function
            | "env", J.Obj env -> ("env", J.Obj (env @ [ ("domains", J.Int 1) ]))
+           | "metrics", J.List ms ->
+             ( "metrics",
+               J.List
+                 (List.map
+                    (function
+                      | J.Obj m -> J.Obj (m @ [ ("kind", J.Str "sim") ]) | m -> m)
+                    ms) )
            | kv -> kv)
          fields)
   | j -> j
 
 let test_bench_result_roundtrip () =
   let t = sample_result () in
-  let stamped = J.to_string (with_domains_stamp (R.to_json t)) in
-  Alcotest.(check bool) "stamp added" true (stamped <> R.to_string t);
+  let stamped = J.to_string (with_legacy_fields (R.to_json t)) in
+  Alcotest.(check bool) "legacy fields added" true (stamped <> R.to_string t);
   List.iter
     (fun input ->
       match R.of_string input with
@@ -158,7 +167,6 @@ let test_bench_result_roundtrip () =
           (fun (m : R.metric) (m' : R.metric) ->
             Alcotest.(check string) "name" m.R.name m'.R.name;
             Alcotest.(check string) "unit" m.R.unit_ m'.R.unit_;
-            Alcotest.(check bool) "kind" true (m.R.kind = m'.R.kind);
             Alcotest.(check bool) "better" true (m.R.better = m'.R.better);
             Alcotest.(check (list (float 0.))) "samples" m.R.samples m'.R.samples;
             Alcotest.(check (float 0.)) "mean" m.R.summary.Stats.Summary.mean
@@ -185,10 +193,15 @@ let test_collector_guards () =
   Alcotest.check_raises "duplicate metric"
     (Invalid_argument "Bench_result.add: duplicate metric \"m\"") (fun () ->
       R.scalar c ~name:"m" ~unit_:"us" 2.);
-  (* Non-finite samples are dropped; all-non-finite records nothing. *)
-  R.add c ~name:"nan_only" ~unit_:"us" [ Float.nan; Float.infinity ];
-  let t = R.result c in
-  Alcotest.(check int) "nan metric skipped" 1 (List.length t.R.metrics)
+  (* A non-finite sample is a broken run: it fails loudly instead of
+     vanishing from the result. *)
+  Alcotest.check_raises "nan sample"
+    (Invalid_argument "Bench_result.add: non-finite sample in \"n\"") (fun () ->
+      R.add c ~name:"n" ~unit_:"us" [ 1.; Float.nan ]);
+  Alcotest.check_raises "infinite sample"
+    (Invalid_argument "Bench_result.add: non-finite sample in \"i\"") (fun () ->
+      R.scalar c ~name:"i" ~unit_:"us" Float.infinity);
+  Alcotest.(check int) "nothing recorded" 1 (List.length (R.result c).R.metrics)
 
 let test_bench_result_rejects_bad_schema () =
   (match R.of_string "{\"schema_version\": 999, \"section\": \"x\"}" with
@@ -198,63 +211,80 @@ let test_bench_result_rejects_bad_schema () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted garbage"
 
+(* A metric tagged with any kind but "sim" comes from the wall-clock
+   gate that no longer exists; comparing it strictly would be wrong. *)
+let test_wall_kind_rejected () =
+  let wall =
+    {|{"schema_version": 1, "section": "s", "env": {}, "metrics": [
+       {"name": "w", "unit": "ns", "kind": "wall", "better": "lower",
+        "summary": {"n": 1, "mean": 1.0, "stddev": 0.0, "min": 1.0,
+                    "max": 1.0, "p50": 1.0, "p95": 1.0},
+        "samples": [1.0]}]}|}
+  in
+  match R.of_string wall with
+  | Error e -> Alcotest.(check string) "error" {|metric w: unsupported kind "wall"|} e
+  | Ok _ -> Alcotest.fail "accepted a wall-kind metric"
+
 (* {1 Compare} *)
 
 let result_with metrics =
   let c = R.create_collector ~section:"cmp" () in
   List.iter
-    (fun (name, kind, better, v) -> R.scalar c ~name ~unit_:"us" ~kind ~better v)
+    (fun (name, better, v) -> R.scalar c ~name ~unit_:"us" ~better v)
     metrics;
   R.result c
 
 let test_compare_identical () =
-  let t = result_with [ ("a", R.Sim, R.Lower, 100.); ("b", R.Sim, R.Higher, 50.) ] in
+  let t = result_with [ ("a", R.Lower, 100.); ("b", R.Higher, 50.) ] in
   let report = Cmp.compare ~baseline:t ~current:t () in
   Alcotest.(check bool) "passes" true (Cmp.passed report);
   Alcotest.(check int) "no regressions" 0 (List.length (Cmp.regressions report))
 
 let test_compare_regression_detected () =
-  let base = result_with [ ("lat", R.Sim, R.Lower, 100.) ] in
-  let cur = result_with [ ("lat", R.Sim, R.Lower, 101.) ] in
+  let base = result_with [ ("lat", R.Lower, 100.) ] in
+  let cur = result_with [ ("lat", R.Lower, 101.) ] in
   (* +1% > strict 0.1% sim threshold. *)
   let report = Cmp.compare ~baseline:base ~current:cur () in
   Alcotest.(check bool) "fails" false (Cmp.passed report);
   Alcotest.(check int) "one regression" 1 (List.length (Cmp.regressions report))
 
 let test_compare_within_threshold () =
-  let base = result_with [ ("lat", R.Wall, R.Lower, 100.) ] in
-  let cur = result_with [ ("lat", R.Wall, R.Lower, 105.) ] in
-  (* +5% < tolerant 10% wall threshold. *)
+  let base = result_with [ ("lat", R.Lower, 100.) ] in
+  (* +0.05% is inside the 0.1% threshold. *)
+  let cur = result_with [ ("lat", R.Lower, 100.05) ] in
   let report = Cmp.compare ~baseline:base ~current:cur () in
   Alcotest.(check bool) "passes" true (Cmp.passed report);
-  (* Same +5% on a sim metric fails. *)
-  let base = result_with [ ("lat", R.Sim, R.Lower, 100.) ] in
-  let cur = result_with [ ("lat", R.Sim, R.Lower, 105.) ] in
+  (* +5% is not. *)
+  let cur = result_with [ ("lat", R.Lower, 105.) ] in
   let report = Cmp.compare ~baseline:base ~current:cur () in
-  Alcotest.(check bool) "sim is strict" false (Cmp.passed report)
+  Alcotest.(check bool) "+5% fails" false (Cmp.passed report)
 
-let test_compare_improvement_ok () =
-  let base = result_with [ ("lat", R.Sim, R.Lower, 100.); ("tput", R.Sim, R.Higher, 50.) ] in
-  let cur = result_with [ ("lat", R.Sim, R.Lower, 80.); ("tput", R.Sim, R.Higher, 60.) ] in
+(* A simulated result that moves changes the reproduction, whichever
+   way it moves: it fails until the baseline is refreshed, and the
+   report labels the direction. *)
+let test_compare_improvement_fails () =
+  let base = result_with [ ("lat", R.Lower, 100.); ("tput", R.Higher, 50.) ] in
+  let cur = result_with [ ("lat", R.Lower, 80.); ("tput", R.Higher, 60.) ] in
   let report = Cmp.compare ~baseline:base ~current:cur () in
-  Alcotest.(check bool) "passes" true (Cmp.passed report);
-  Alcotest.(check int) "two improvements" 2 (List.length (Cmp.improvements report))
+  Alcotest.(check bool) "fails" false (Cmp.passed report);
+  Alcotest.(check int) "two improvements" 2 (List.length (Cmp.improvements report));
+  Alcotest.(check int) "no regressions" 0 (List.length (Cmp.regressions report))
 
 let test_compare_direction () =
   (* Higher-is-better: a drop is a regression. *)
-  let base = result_with [ ("tput", R.Sim, R.Higher, 100.) ] in
-  let cur = result_with [ ("tput", R.Sim, R.Higher, 90.) ] in
+  let base = result_with [ ("tput", R.Higher, 100.) ] in
+  let cur = result_with [ ("tput", R.Higher, 90.) ] in
   let report = Cmp.compare ~baseline:base ~current:cur () in
   Alcotest.(check bool) "drop fails" false (Cmp.passed report);
   (* Neutral: drift in either direction is a regression. *)
-  let base = result_with [ ("calib", R.Sim, R.Neutral, 100.) ] in
-  let cur = result_with [ ("calib", R.Sim, R.Neutral, 90.) ] in
+  let base = result_with [ ("calib", R.Neutral, 100.) ] in
+  let cur = result_with [ ("calib", R.Neutral, 90.) ] in
   let report = Cmp.compare ~baseline:base ~current:cur () in
   Alcotest.(check bool) "neutral drift fails" false (Cmp.passed report)
 
 let test_compare_missing_metric () =
-  let base = result_with [ ("a", R.Sim, R.Lower, 1.); ("b", R.Sim, R.Lower, 2.) ] in
-  let cur = result_with [ ("a", R.Sim, R.Lower, 1.) ] in
+  let base = result_with [ ("a", R.Lower, 1.); ("b", R.Lower, 2.) ] in
+  let cur = result_with [ ("a", R.Lower, 1.) ] in
   let report = Cmp.compare ~baseline:base ~current:cur () in
   Alcotest.(check bool) "missing fails" false (Cmp.passed report);
   Alcotest.(check (list string)) "missing name" [ "b" ] report.Cmp.missing;
@@ -263,30 +293,12 @@ let test_compare_missing_metric () =
   Alcotest.(check bool) "extra passes" true (Cmp.passed report);
   Alcotest.(check (list string)) "extra name" [ "b" ] report.Cmp.extra
 
-let test_compare_ignore_wall () =
-  let base =
-    result_with [ ("w", R.Wall, R.Lower, 100.); ("s", R.Sim, R.Lower, 100.) ]
-  in
-  let cur =
-    result_with [ ("w", R.Wall, R.Lower, 200.); ("s", R.Sim, R.Lower, 100.) ]
-  in
-  let report = Cmp.compare ~baseline:base ~current:cur () in
-  Alcotest.(check bool) "wall regression fails by default" false (Cmp.passed report);
-  Alcotest.(check bool) "ignore-wall passes" true (Cmp.passed ~ignore_wall:true report);
-  (* ignore_wall must not mask sim regressions. *)
-  let cur2 =
-    result_with [ ("w", R.Wall, R.Lower, 100.); ("s", R.Sim, R.Lower, 200.) ]
-  in
-  let report = Cmp.compare ~baseline:base ~current:cur2 () in
-  Alcotest.(check bool) "sim regression still fails" false
-    (Cmp.passed ~ignore_wall:true report)
-
 let test_compare_zero_baseline () =
   (* Baseline 0 -> any nonzero change is an infinite-percent drift. *)
-  let base = result_with [ ("z", R.Sim, R.Lower, 0.) ] in
+  let base = result_with [ ("z", R.Lower, 0.) ] in
   let same = Cmp.compare ~baseline:base ~current:base () in
   Alcotest.(check bool) "0 vs 0 passes" true (Cmp.passed same);
-  let cur = result_with [ ("z", R.Sim, R.Lower, 1.) ] in
+  let cur = result_with [ ("z", R.Lower, 1.) ] in
   let report = Cmp.compare ~baseline:base ~current:cur () in
   Alcotest.(check bool) "0 -> 1 fails" false (Cmp.passed report)
 
@@ -317,11 +329,7 @@ let test_cost_tables_exact () =
   Sys.remove dir;
   Sys.mkdir dir 0o700;
   let read path = match R.read path with Ok t -> t | Error e -> Alcotest.fail e in
-  let sim t =
-    List.filter_map
-      (fun m -> if m.R.kind = R.Sim then Some (m.R.name, m.R.samples) else None)
-      t.R.metrics
-  in
+  let samples t = List.map (fun m -> (m.R.name, m.R.samples)) t.R.metrics in
   List.iter
     (fun section ->
       let baseline =
@@ -332,7 +340,7 @@ let test_cost_tables_exact () =
         let current = read path in
         Sys.remove path;
         Alcotest.(check (list (pair string (list (float 0.)))))
-          (section ^ " [Sim] samples") (sim baseline) (sim current)
+          (section ^ " samples") (samples baseline) (samples current)
       | Ok None -> Alcotest.failf "%s recorded no metrics" section
       | Error e -> Alcotest.fail e)
     [ "table6"; "table8" ];
@@ -381,14 +389,15 @@ let suite =
       test_bench_result_file_roundtrip;
     Alcotest.test_case "collector guards" `Quick test_collector_guards;
     Alcotest.test_case "bad schema rejected" `Quick test_bench_result_rejects_bad_schema;
+    Alcotest.test_case "wall kind rejected" `Quick test_wall_kind_rejected;
     Alcotest.test_case "compare identical" `Quick test_compare_identical;
     Alcotest.test_case "compare regression detected" `Quick
       test_compare_regression_detected;
     Alcotest.test_case "compare within threshold" `Quick test_compare_within_threshold;
-    Alcotest.test_case "compare improvement ok" `Quick test_compare_improvement_ok;
+    Alcotest.test_case "compare improvement fails" `Quick
+      test_compare_improvement_fails;
     Alcotest.test_case "compare direction" `Quick test_compare_direction;
     Alcotest.test_case "compare missing metric" `Quick test_compare_missing_metric;
-    Alcotest.test_case "compare ignore-wall" `Quick test_compare_ignore_wall;
     Alcotest.test_case "compare zero baseline" `Quick test_compare_zero_baseline;
     Alcotest.test_case "section self-compare" `Quick test_section_self_compare;
     Alcotest.test_case "tables 6 and 8 equal their baselines exactly" `Quick

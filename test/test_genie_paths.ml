@@ -357,21 +357,14 @@ let pool_matches_eager_queue =
    buckets and endpoint rings are built on first use, so a probe world
    costs a few thousand words (eager construction took ~33 K). *)
 let test_world_allocation () =
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
   let n = 20 in
-  Gc.full_major ();
-  let w0 = words () in
-  let worlds =
-    List.init n (fun _ ->
-        let w = world () in
-        (w, Genie.World.endpoint_pair w ~vc:5 ~mode:Net.Adapter.Early_demux))
+  let per_world =
+    Test_util.words_allocated (fun () ->
+        List.init n (fun _ ->
+            let w = world () in
+            (w, Genie.World.endpoint_pair w ~vc:5 ~mode:Net.Adapter.Early_demux)))
+    /. float_of_int n
   in
-  Gc.full_major ();
-  let per_world = (words () -. w0) /. float_of_int n in
-  ignore (Sys.opaque_identity worlds);
   if per_world > 8000. then
     Alcotest.failf "World.create + endpoint_pair allocates %.0f words (> 8,000)"
       per_world

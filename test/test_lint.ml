@@ -1,6 +1,7 @@
-(* Source lints over lib/.  Typed outcomes are never dropped: no code
-   under lib/ may discard an [Endpoint.output] or [Endpoint.input]
-   result with [ignore]; it matches on the result instead. *)
+(* Source lints over lib/, bench/ and examples/.  Typed outcomes are
+   never dropped: no code there may discard an [Endpoint.output] or
+   [Endpoint.input] result with [ignore]; it matches on the result
+   instead. *)
 
 let rec ml_files dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
@@ -48,10 +49,12 @@ let test_scanner () =
         ignore\n\
        \  (Genie.Endpoint.input eb)")
 
-let test_no_ignored_endpoint_results () =
-  let files = ml_files "../lib" in
-  if not (List.exists (fun f -> Filename.basename f = "endpoint.ml") files)
-  then Alcotest.fail "lib/ sources not found";
+(* [anchor] is a file the tree must contain, so a missing dependency
+   cannot pass as a clean tree. *)
+let test_no_ignored_endpoint_results ~dir ~anchor () =
+  let files = ml_files (Filename.concat ".." dir) in
+  if not (List.exists (fun f -> Filename.basename f = anchor) files) then
+    Alcotest.failf "%s/ sources not found" dir;
   let offenders =
     List.concat_map
       (fun path ->
@@ -66,6 +69,13 @@ let test_no_ignored_endpoint_results () =
 let suite =
   [
     Alcotest.test_case "ignore scanner flags endpoint calls" `Quick test_scanner;
-    Alcotest.test_case "no ignored Endpoint result under lib" `Quick
-      test_no_ignored_endpoint_results;
   ]
+  @ List.map
+      (fun (dir, anchor) ->
+        Alcotest.test_case
+          ("no ignored Endpoint result under " ^ dir)
+          `Quick
+          (test_no_ignored_endpoint_results ~dir ~anchor))
+      [
+        ("lib", "endpoint.ml"); ("bench", "sections.ml"); ("examples", "quickstart.ml");
+      ]

@@ -134,7 +134,16 @@ let test_create_allocates_no_pages () =
   Alcotest.(check bool)
     (Printf.sprintf "%.0f bytes allocated" cost)
     true
-    (cost < 16. *. float_of_int (Memory.Phys_mem.total_frames pm))
+    (cost < 16. *. float_of_int (Memory.Phys_mem.total_frames pm));
+  (* The known-zero skip: a frame never handed out is zero already, so
+     [alloc_zeroed] does not refill it, and its page is never born. *)
+  let before = Gc.allocated_bytes () in
+  let f = Sys.opaque_identity (Memory.Phys_mem.alloc_zeroed pm) in
+  let cost = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "alloc_zeroed allocated %.0f bytes" cost)
+    true
+    (cost < float_of_int (Memory.Frame.page_size f))
 
 (* {1 Phys_mem against the eager model} *)
 

@@ -89,33 +89,27 @@ let test_aal5_math () =
   Alcotest.(check int) "wire bytes" 106 (Net.Aal5.wire_bytes 48);
   Alcotest.(check int) "60KB" ((61448 / 48) + 1) (Net.Aal5.cells_for_len 61440)
 
+let encode payload = Net.Aal5.encode_iov (Memory.Iovec.of_bytes payload)
+
 let test_aal5_roundtrip () =
   let payload = Bytes.init 1000 (fun i -> Char.chr ((i * 7) land 0xFF)) in
-  let cells = Net.Aal5.encode payload in
+  let cells = encode payload in
   Alcotest.(check int) "cell count" (Net.Aal5.cells_for_len 1000)
     (List.length cells);
   List.iter
-    (fun c -> Alcotest.(check int) "cell payload size" 48 (Bytes.length c))
+    (fun c ->
+      Alcotest.(check int) "cell payload size" 48 (Memory.Iovec.length c))
     cells;
-  match Net.Aal5.decode cells with
-  | Ok decoded -> Alcotest.(check bytes) "roundtrip" payload decoded
+  match Net.Aal5.decode_iov cells with
+  | Ok decoded ->
+    Alcotest.(check bytes) "roundtrip" payload (Memory.Iovec.to_bytes decoded)
   | Error e -> Alcotest.failf "decode failed: %a" Net.Aal5.pp_error e
 
-let test_aal5_iov_equivalence () =
-  (* The view-native cellification must produce bit-identical cells to
-     the bytes API, including for payloads scattered across frames. *)
+let test_aal5_scattered_iov () =
+  (* A payload scattered across frames cellifies to the same cells as
+     the same bytes held contiguously. *)
   let payload = Bytes.init 5000 (fun i -> Char.chr ((i * 13) land 0xFF)) in
-  let cells_bytes = Net.Aal5.encode payload in
-  let cells_iov = Net.Aal5.encode_iov (Memory.Iovec.of_bytes payload) in
-  Alcotest.(check int) "same cell count" (List.length cells_bytes)
-    (List.length cells_iov);
-  List.iter2
-    (fun b v ->
-      Alcotest.(check bytes) "cell identical" b (Memory.Iovec.to_bytes v))
-    cells_bytes cells_iov;
-  (match Net.Aal5.decode_iov cells_iov with
-  | Ok view -> Alcotest.(check bytes) "view decode" payload (Memory.Iovec.to_bytes view)
-  | Error e -> Alcotest.failf "decode_iov failed: %a" Net.Aal5.pp_error e);
+  let contiguous = List.map Memory.Iovec.to_bytes (encode payload) in
   (* Frame-backed gather source: payload split across two frames. *)
   let spec = { Machine.Machine_spec.micron_p166 with Machine.Machine_spec.memory_mb = 1 } in
   let pm = Memory.Phys_mem.create spec in
@@ -129,31 +123,32 @@ let test_aal5_iov_equivalence () =
         Memory.Iovec.of_frame f2 ~off:0 ~len:1000;
       ]
   in
+  let cells = Net.Aal5.encode_iov scattered in
+  Alcotest.(check int) "same cell count" (List.length contiguous)
+    (List.length cells);
   List.iter2
     (fun b v ->
       Alcotest.(check bytes) "scattered cell identical" b (Memory.Iovec.to_bytes v))
-    cells_bytes
-    (Net.Aal5.encode_iov scattered)
+    contiguous cells;
+  match Net.Aal5.decode_iov cells with
+  | Ok view -> Alcotest.(check bytes) "view decode" payload (Memory.Iovec.to_bytes view)
+  | Error e -> Alcotest.failf "decode_iov failed: %a" Net.Aal5.pp_error e
 
 let test_aal5_detects_corruption () =
   let payload = Bytes.make 100 'p' in
-  let cells = Net.Aal5.encode payload in
   let corrupted =
     List.mapi
       (fun i c ->
-        if i = 0 then begin
-          let c = Bytes.copy c in
-          Bytes.set c 3 'X';
-          c
-        end
-        else c)
-      cells
+        let c = Memory.Iovec.to_bytes c in
+        if i = 0 then Bytes.set c 3 'X';
+        Memory.Iovec.of_bytes c)
+      (encode payload)
   in
-  (match Net.Aal5.decode corrupted with
+  (match Net.Aal5.decode_iov corrupted with
   | Error `Bad_crc -> ()
   | Ok _ -> Alcotest.fail "corruption not detected"
   | Error e -> Alcotest.failf "unexpected error: %a" Net.Aal5.pp_error e);
-  match Net.Aal5.decode [] with
+  match Net.Aal5.decode_iov [] with
   | Error `Truncated -> ()
   | _ -> Alcotest.fail "empty PDU must be truncated"
 
@@ -162,8 +157,8 @@ let aal5_roundtrip_prop =
     QCheck.(string_of_size Gen.(1 -- 5000))
     (fun s ->
       let payload = Bytes.of_string s in
-      match Net.Aal5.decode (Net.Aal5.encode payload) with
-      | Ok decoded -> Bytes.equal payload decoded
+      match Net.Aal5.decode_iov (encode payload) with
+      | Ok decoded -> Bytes.equal payload (Memory.Iovec.to_bytes decoded)
       | Error _ -> false)
 
 let test_wire_time () =
@@ -422,7 +417,8 @@ let suite =
     Alcotest.test_case "aal5 cell math" `Quick test_aal5_math;
     Alcotest.test_case "aal5 roundtrip" `Quick test_aal5_roundtrip;
     Alcotest.test_case "aal5 corruption detection" `Quick test_aal5_detects_corruption;
-    Alcotest.test_case "aal5 iov equals bytes API" `Quick test_aal5_iov_equivalence;
+    Alcotest.test_case "aal5 scattered iov equals contiguous" `Quick
+      test_aal5_scattered_iov;
     QCheck_alcotest.to_alcotest aal5_roundtrip_prop;
     Alcotest.test_case "wire time" `Quick test_wire_time;
     Alcotest.test_case "adapter early demux" `Quick test_adapter_early_demux;

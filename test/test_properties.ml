@@ -193,14 +193,18 @@ let aal5_crc_detects_bit_flips =
     QCheck.(pair (int_range 1 8192) (int_bound 1_000_000))
     (fun (len, r) ->
       let payload = Bytes.init len (fun i -> Char.chr ((i * 31 + 5) land 0xff)) in
-      let flat = Bytes.concat Bytes.empty (Net.Aal5.encode payload) in
+      let flat =
+        Memory.Iovec.to_bytes
+          (Memory.Iovec.concat (Net.Aal5.encode_iov (Memory.Iovec.of_bytes payload)))
+      in
       flip_bit flat (r mod (Bytes.length flat * 8));
       let ncells = Bytes.length flat / Net.Aal5.cell_payload in
       let cells =
         List.init ncells (fun i ->
-            Bytes.sub flat (i * Net.Aal5.cell_payload) Net.Aal5.cell_payload)
+            Memory.Iovec.of_bytes
+              (Bytes.sub flat (i * Net.Aal5.cell_payload) Net.Aal5.cell_payload))
       in
-      Result.is_error (Net.Aal5.decode cells))
+      Result.is_error (Net.Aal5.decode_iov cells))
 
 (* Both pattern builders against the per-byte oracle: the row-built
    [expected_pattern], and [fill_pattern] storing into the frames of a

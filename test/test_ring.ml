@@ -450,6 +450,60 @@ let test_mixed_batch_order () =
   Alcotest.(check int) "rings drained" 0
     (Genie.Endpoint.completions_available ea)
 
+(* --- host allocation of the staging path --------------------------- *)
+
+(* Words per message for bursts of [b] 256-byte messages staged the way
+   the batched endpoint path stages them: indices through the
+   submission ring, one pooled chunk, one [Ops.charge_n], then the
+   completion ring. *)
+let staging_words_per_msg b =
+  let msg_len = 256 in
+  let views =
+    Array.init b (fun i ->
+        Memory.Iovec.of_bytes
+          (Bytes.init msg_len (fun j -> Char.chr ((i + j) land 0xFF))))
+  in
+  let ops =
+    Genie.Ops.create
+      (Simcore.Cpu.create (Simcore.Engine.create ()))
+      (C.create Machine.Machine_spec.micron_p166)
+  in
+  let pool = Memory.Buf_pool.create () in
+  let sq = Ring.create ~dummy:(-1) () and cq = Ring.create ~dummy:(-1) () in
+  let burst () =
+    for i = 0 to b - 1 do
+      ignore (Ring.try_push sq i : bool)
+    done;
+    let chunk = Memory.Buf_pool.take pool ~len:(b * msg_len) in
+    ignore
+      (Ring.drain sq ~f:(fun i ->
+           Memory.Iovec.blit_to views.(i) ~dst:chunk ~dst_off:(i * msg_len);
+           ignore (Ring.try_push cq i : bool))
+        : int);
+    Genie.Ops.charge_n ops C.Copyin ~unit:(`Bytes msg_len) ~n:b;
+    Memory.Buf_pool.give pool chunk;
+    ignore (Ring.drain cq ~f:ignore : int)
+  in
+  (* The first burst's take creates the chunk every later one reuses. *)
+  burst ();
+  let bursts = 6400 / b in
+  Test_util.words_allocated (fun () ->
+      for _ = 1 to bursts do
+        burst ()
+      done)
+  /. float_of_int (bursts * b)
+
+(* Batching is a host-side amortization: the per-burst overheads (pool
+   take/give, the CPU charge, drain setup) are paid once per batch, so a
+   batch of 64 must cost at most half the words per message of a batch
+   of 1. *)
+let test_batching_amortises_staging () =
+  let b1 = staging_words_per_msg 1 and b64 = staging_words_per_msg 64 in
+  if b1 > 64. then Alcotest.failf "batch 1 stages %.1f words/msg (> 64)" b1;
+  if b64 > 23.8 then Alcotest.failf "batch 64 stages %.2f words/msg (> 23.8)" b64;
+  if b64 > b1 /. 2. then
+    Alcotest.failf "batch 64 stages %.2f words/msg, not half of batch 1's %.1f" b64 b1
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ ring_model_equivalence; charge_n_law; sample_law; batch_equivalence ]
@@ -464,4 +518,6 @@ let suite =
         test_lazy_cached_counters;
       Alcotest.test_case "mixed batch: outcomes line up, completions reap"
         `Quick test_mixed_batch_order;
+      Alcotest.test_case "batching amortises staging words" `Quick
+        test_batching_amortises_staging;
     ]

@@ -362,6 +362,63 @@ let test_sendfile_equals_read_send () =
       (Bytes.equal (payload r1) (payload r2))
   | rs -> Alcotest.failf "expected 2 deliveries, got %d" (List.length rs)
 
+(* Host words per 16 KB file->network delivery, sendfile against
+   read+send, each loop after one warmup delivery.  Sendfile hands the
+   cache frames to the adapter as the transmit scatter list; read+send
+   copies out to a fresh application buffer and sends it with copy
+   semantics, so it must allocate more. *)
+let test_sendfile_allocates_less () =
+  let w, fio = setup () in
+  let ea, eb, rspace = recv_setup w ~vc:1 in
+  let fd = Genie.File_io.open_file fio in
+  let len = 4 * psize in
+  must
+    (Genie.File_io.write fio ~fd ~off:0 ~data:(pattern ~len ~seed:35)
+       ~on_complete:(fun () -> ()));
+  Genie.World.run w;
+  Genie.File_io.fsync fio ~fd ~on_complete:(fun () -> ());
+  Genie.World.run w;
+  let results = ref [] in
+  let sendfile () =
+    ignore (must (Genie.File_io.sendfile fio ea ~fd ~off:0 ~len ()) : int)
+  in
+  let read_send () =
+    must
+      (Genie.File_io.read fio ~fd ~off:0 ~len ~on_complete:(fun data ->
+           let sspace = Genie.Host.new_space w.Genie.World.a in
+           let sregion = As.map_region sspace ~npages:(len / psize) in
+           let buf =
+             Genie.Buf.make sspace ~addr:(As.base_addr sregion ~page_size:psize) ~len
+           in
+           Genie.Buf.write buf data;
+           ignore (must (Genie.Endpoint.output ea ~sem:Sem.copy ~buf ()))))
+  in
+  let deliver send =
+    post_input eb rspace ~len ~results;
+    send ();
+    Genie.World.run w
+  in
+  let per_op send =
+    deliver send;
+    let n = 8 in
+    Test_util.words_allocated (fun () ->
+        for _ = 1 to n do
+          deliver send
+        done)
+    /. float_of_int n
+  in
+  let sf = per_op sendfile in
+  let rs = per_op read_send in
+  Alcotest.(check int) "every delivery arrived" 18 (List.length !results);
+  if not (List.for_all Genie.Input_path.ok !results) then
+    Alcotest.fail "a delivery failed";
+  if sf > 4_725. then
+    Alcotest.failf "sendfile allocates %.0f words per op (> 4,725)" sf;
+  if rs > 12_015. then
+    Alcotest.failf "read+send allocates %.0f words per op (> 12,015)" rs;
+  if sf >= rs then
+    Alcotest.failf "sendfile allocates %.0f words per op, read+send %.0f" sf rs
+
 (* Flat-file model for the qcheck laws. *)
 module Model = struct
   type t = { mutable data : bytes }
@@ -502,4 +559,6 @@ let suite =
       test_sendfile_equals_read_send;
     QCheck_alcotest.to_alcotest prop_read_your_writes;
     QCheck_alcotest.to_alcotest prop_writeback_preserves_bytes;
+    Alcotest.test_case "sendfile allocates less than read+send" `Quick
+      test_sendfile_allocates_less;
   ]

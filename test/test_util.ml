@@ -1,5 +1,20 @@
 (* Shared helpers for the test suites. *)
 
+(* Words [f] allocates: minor + major - promoted, read between full
+   major collections, so the count does not depend on when the
+   collector happens to run.  The tier-1 allocation pins measure with
+   this. *)
+let words_allocated f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  Gc.full_major ();
+  let w0 = words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.full_major ();
+  words () -. w0
+
 let check_bytes msg expected actual =
   if not (Bytes.equal expected actual) then begin
     let hex b lo n =

@@ -159,6 +159,22 @@ let test_thresholds_scaling () =
   Alcotest.(check int) "conversion threshold" 1666
     t4k.Genie.Thresholds.copy_out_emulated_copy
 
+(* The latency probe's host allocation: one 16 KB emulated-copy
+   datagram with early demultiplexing, after one warmup transfer. *)
+let test_probe_allocation () =
+  let cfg =
+    {
+      (Workload.Latency_probe.default ~sem:Sem.emulated_copy ~len:16384) with
+      Workload.Latency_probe.mode = Net.Adapter.Early_demux;
+      runs = 1;
+      warmup = 1;
+      spec = Workload.Experiments.light_spec Machine.Machine_spec.micron_p166;
+    }
+  in
+  let words = Test_util.words_allocated (fun () -> Workload.Latency_probe.run cfg) in
+  if words > 33_500. then
+    Alcotest.failf "latency probe allocates %.0f words (> 33,500)" words
+
 let suite =
   [
     Alcotest.test_case "estimates match paper Table 7 (E)" `Quick
@@ -173,4 +189,6 @@ let suite =
     Alcotest.test_case "semantics names roundtrip" `Quick
       test_semantics_names_roundtrip;
     Alcotest.test_case "threshold scaling" `Quick test_thresholds_scaling;
+    Alcotest.test_case "probe allocates under 33,500 words" `Quick
+      test_probe_allocation;
   ]
