@@ -207,10 +207,10 @@ let check_cmd =
     Arg.(value & flag
          & info [ "no-batch" ]
              ~doc:
-               "Disable the batched ring fast path (submit_batch / \
-                reap_completions bursts with mid-batch cancels) and drive \
-                every transfer through the sequential single-call API \
-                instead — isolates ring-path failures.")
+               "Drive every transfer through the single-shot input and \
+                output calls instead of the batch API (submit_batch / \
+                reap_completions bursts with mid-batch cancels) — isolates \
+                batch-path failures.")
   in
   let no_storage_arg =
     Arg.(value & flag

@@ -697,9 +697,9 @@ let run ?trace cfg =
               id (sname send) (sname recv) vc (Sem.name send_sem) len)
   in
 
-  (* --- the batched ring path ---------------------------------------- *)
+  (* --- the batch API ------------------------------------------------ *)
 
-  (* Drain every endpoint's completion ring, resolving the batched
+  (* Reap every endpoint's queued completions, resolving the batched
      bookkeeping registered at submit time. *)
   let reap_side side =
     List.fold_left
@@ -1329,20 +1329,20 @@ let run ?trace cfg =
          [ side_a; side_b ];
        Genie.World.run w
      end;
-     (* final reap: every batched completion must be on a ring by now *)
+     (* final reap: every batched completion must be queued by now *)
      if cfg.batch then begin
        let n = reap_side side_a + reap_side side_b in
        if n > 0 then note "final reap %d completions" n
      end;
      note "drained; %d/%d transfers completed" !completed !started;
      (* Full drain of the batched bookkeeping: an accepted batched
-        operation whose completion never reached a ring means the ring
+        operation whose completion was never reaped means the batch
         path lost it. *)
      let stuck_out = Hashtbl.length out_waiting
      and stuck_in = Hashtbl.length in_waiting in
      if stuck_out <> 0 || stuck_in <> 0 then
        audit_violation ~invariant:"transfer-accounting" ~host:"world"
-         ~subject:"rings"
+         ~subject:"completions"
          "%d batched outputs and %d batched inputs never reaped after drain"
          stuck_out stuck_in;
      (* Transfer accounting: at quiescence every queued transfer must

@@ -46,7 +46,7 @@ type config = {
   link_faults : bool;
       (** schedule one-shot link faults and reliable-transport sessions *)
   batch : bool;
-      (** drive transfers through the ring fast path: random-size
+      (** drive transfers through the batch API: random-size
           {!Genie.Endpoint.submit_batch} bursts with mid-batch cancels
           and per-entry backpressure, completions collected by randomly
           scheduled {!Genie.Endpoint.reap_completions} calls plus a

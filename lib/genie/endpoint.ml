@@ -9,11 +9,7 @@ type t = {
   mutable next_token : int;
   mutable pendings : Input_path.pending list;  (* oldest first *)
   unclaimed : Net.Adapter.rx_result Queue.t;
-  sq : int Ring.t Lazy.t;
-      (* staged batch entries as indices into the submission array
-         (io_uring's SQ indirection), drained by submit *)
-  cq : completion Ring.t Lazy.t;  (* completed batch entries, drained by reap *)
-  cq_overflow : completion Queue.t;  (* spill when [cq] is full *)
+  completions : completion Queue.t;  (* batched completions, oldest first *)
 }
 
 type submission =
@@ -58,8 +54,6 @@ let on_rx t (result : Net.Adapter.rx_result) =
     | [] -> Queue.add result t.unclaimed
   end
 
-let ring_dummy = Out_complete { seq = -1 }
-
 let create host ~vc ~mode =
   let t =
     {
@@ -69,11 +63,7 @@ let create host ~vc ~mode =
       next_token = 0;
       pendings = [];
       unclaimed = Queue.create ();
-      (* Built at the first [submit_batch] or reap: most endpoints only
-         ever make single-shot calls. *)
-      sq = lazy (Ring.create ~dummy:(-1) ());
-      cq = lazy (Ring.create ~dummy:ring_dummy ());
-      cq_overflow = Queue.create ();
+      completions = Queue.create ();
     }
   in
   Net.Adapter.set_rx_mode host.Host.adapter ~vc mode;
@@ -81,14 +71,7 @@ let create host ~vc ~mode =
   t
 
 let output t ~sem ~buf ?seq ?(on_complete = fun () -> ()) () =
-  let seq =
-    match seq with
-    | Some s -> s
-    | None ->
-      let s = t.next_token in
-      t.next_token <- t.next_token + 1;
-      s
-  in
+  let seq = match seq with Some s -> s | None -> alloc_seq t in
   Output_path.output t.host ~vc:t.vc ~sem ~buf ~seq ~on_complete
 
 type handle = { ep : t; p : Input_path.pending }
@@ -119,9 +102,7 @@ let input_with_token t ~token ~sem ~spec ~on_complete =
     Ok { ep = t; p }
 
 let input t ~sem ~spec ~on_complete =
-  let token = t.next_token in
-  t.next_token <- t.next_token + 1;
-  input_with_token t ~token ~sem ~spec ~on_complete
+  input_with_token t ~token:(alloc_seq t) ~sem ~spec ~on_complete
 
 let cancel (h : handle) =
   let t = h.ep in
@@ -137,46 +118,35 @@ let cancel (h : handle) =
 
 let drain t = List.iter (fun p -> ignore (cancel { ep = t; p })) t.pendings
 
-(* {1 Batched submission/completion (the ring fast path)}
+(* {1 Batched submission and completion}
 
-   Submission entries stage in [sq] and drain through the very same
-   output/input paths as the single-shot calls, in submission order, so
-   the per-entry charge sequence — and with it every simulated metric —
-   is bit-identical to N sequential calls.  What batching amortizes is
-   host-side work: one [ring.submit] trace span and one adapter tx
-   window per batch instead of per-datagram bookkeeping, ring slots
-   instead of per-call list churn, and completions delivered by reaping
-   [cq] instead of one closure invocation context per call. *)
+   A batch runs its entries through the single-shot output/input paths
+   in submission order, so the per-entry charge sequence — and with it
+   every simulated metric — is bit-identical to N sequential calls.
+   Completions queue on the endpoint for [reap_completions] instead of
+   calling back into the caller. *)
 
 type sub_outcome =
   | Out_accepted of Output_path.outcome * int  (* the sequence number used *)
   | In_accepted of handle
   | Rejected of Outcome.pressure
 
-let push_completion t c =
-  (* FIFO across the ring/overflow boundary: once the ring has spilled,
-     keep spilling until a reap empties both. *)
-  if Queue.is_empty t.cq_overflow && Ring.try_push (Lazy.force t.cq) c then ()
-  else begin
-    Simcore.Tracer.add_counter t.host.Host.scope "ring_cq_overflows";
-    Queue.add c t.cq_overflow
-  end
+(* The completion depth [ring_cq_overflows] counts against: a completion
+   queued while this many are unreaped is one overflow. *)
+let cq_depth = 256
 
-(* Process one drained submission through the single-shot machinery.
-   Sequence numbers and tokens are assigned here, before the path call,
-   exactly as [output]/[input] assign them — so a batch consumes the
+let push_completion t c =
+  if Queue.length t.completions >= cq_depth then
+    Simcore.Tracer.add_counter t.host.Host.scope "ring_cq_overflows";
+  Queue.add c t.completions
+
+(* Sequence numbers and tokens are drawn here, before the path call,
+   exactly as [output]/[input] draw them — so a batch consumes the
    endpoint's token stream in the same order as N sequential calls, and
    the completion closures capture their identity directly. *)
 let submit_one t = function
   | Sub_output { sem; buf; seq } ->
-    let seq =
-      match seq with
-      | Some s -> s
-      | None ->
-        let s = t.next_token in
-        t.next_token <- t.next_token + 1;
-        s
-    in
+    let seq = match seq with Some s -> s | None -> alloc_seq t in
     (match
        Output_path.output t.host ~vc:t.vc ~sem ~buf ~seq ~on_complete:(fun () ->
            push_completion t (Out_complete { seq }))
@@ -184,8 +154,7 @@ let submit_one t = function
     | Ok outcome -> Out_accepted (outcome, seq)
     | Error `Again -> Rejected `Again)
   | Sub_input { sem; spec } ->
-    let token = t.next_token in
-    t.next_token <- t.next_token + 1;
+    let token = alloc_seq t in
     (match
        input_with_token t ~token ~sem ~spec ~on_complete:(fun r ->
            push_completion t (In_complete { token; result = r }))
@@ -207,45 +176,23 @@ let submit_batch t subs =
           ]
     else 0
   in
-  let outputs =
-    Array.fold_left
-      (fun acc s -> match s with Sub_output _ -> acc + 1 | Sub_input _ -> acc)
-      0 subs
-  in
-  Net.Adapter.tx_window_open t.host.Host.adapter ~vc:t.vc ~n:outputs;
-  let outcomes = Array.make n (Rejected `Again) in
-  let process i = outcomes.(i) <- submit_one t subs.(i) in
-  let sq = Lazy.force t.sq in
-  (* Stage indices through the submission ring; if the batch exceeds
-     the ring capacity, drain in chunks — entries still process in
-     submission order. *)
-  for i = 0 to n - 1 do
-    if not (Ring.try_push sq i) then begin
-      ignore (Ring.drain sq ~f:process);
-      let pushed = Ring.try_push sq i in
-      assert pushed
-    end
-  done;
-  ignore (Ring.drain sq ~f:process);
+  (* [Array.init] applies its function to 0 .. n-1 in order. *)
+  let outcomes = Array.init n (fun i -> submit_one t subs.(i)) in
   Simcore.Tracer.span_end scope ~id:span "ring.submit";
   outcomes
 
-let completions_available t =
-  (if Lazy.is_val t.cq then Ring.length (Lazy.force t.cq) else 0)
-  + Queue.length t.cq_overflow
+let completions_available t = Queue.length t.completions
 
 let reap_completions t =
   let scope = t.host.Host.scope in
-  let acc = ref [] in
-  let n = Ring.drain (Lazy.force t.cq) ~f:(fun c -> acc := c :: !acc) in
-  let spilled = Queue.length t.cq_overflow in
-  Queue.iter (fun c -> acc := c :: !acc) t.cq_overflow;
-  Queue.clear t.cq_overflow;
+  let n = Queue.length t.completions in
+  let cs = List.rev (Queue.fold (fun acc c -> c :: acc) [] t.completions) in
+  Queue.clear t.completions;
   if Simcore.Tracer.on scope then
     Simcore.Tracer.complete scope
       ~start:(Simcore.Engine.now t.host.Host.engine)
       ~dur:Simcore.Sim_time.zero
-      ~args:[ ("batch", Simcore.Tracer.Int (n + spilled)) ]
+      ~args:[ ("batch", Simcore.Tracer.Int n) ]
       "ring.reap";
-  Simcore.Tracer.add_counter scope ~n:(n + spilled) "ring_reaped";
-  List.rev !acc
+  Simcore.Tracer.add_counter scope ~n "ring_reaped";
+  cs

@@ -64,28 +64,26 @@ val pending_inputs : t -> int
 
 val alloc_seq : t -> int
 (** Draw the next sequence number / token from the endpoint's stream —
-    what {!output} does implicitly when [seq] is omitted.  Callers that
-    build datagrams outside the output path ({!File_io.sendfile}) use
-    this so batched and single-shot traffic stay in one ordered
-    stream. *)
+    what {!output}, {!input} and {!submit_batch} do implicitly.  Callers
+    that build datagrams outside the output path ({!File_io.sendfile})
+    use this so all traffic stays in one ordered stream. *)
 
 val drain : t -> unit
 (** Cancel all pending inputs, oldest first (test teardown); equivalent
     to calling {!cancel} on every outstanding handle. *)
 
-(** {1 Batched submission and completion rings}
+(** {1 Batched submission and completion}
 
-    The io_uring-style fast path: stage a whole batch of operations,
-    drain it through the same output/input machinery in one call, and
-    collect completions by reaping a ring instead of supplying one
-    callback context per operation.  Batching is semantically invisible
-    — a batch consumes the endpoint's token stream and performs the
-    per-entry charge sequence in exactly the order N sequential
-    {!output}/{!input} calls would, so every simulated metric is
-    bit-identical (property-tested in [test_ring]).  What it amortizes
-    is host-side work: one [ring.submit] trace span and one
-    {!Net.Adapter.tx_window_open} burst window per batch, ring slots
-    instead of per-call bookkeeping. *)
+    Submit a whole array of operations in one call and collect their
+    completions by reaping the endpoint instead of supplying one
+    callback per operation.  A batch runs each entry through {!output}
+    or {!input}'s path in submission order, consuming the endpoint's
+    token stream as N sequential calls would, so every simulated metric
+    is bit-identical (property-tested in [test_ring]).  It is an API
+    convenience, not a host fast path: a batched message allocates a
+    few percent more host words than a single-shot one
+    (docs/PERFORMANCE.md).  A batch is traced as one [ring.submit] span
+    and a reap as one [ring.reap] event. *)
 
 type submission =
   | Sub_output of { sem : Semantics.t; buf : Buf.t; seq : int option }
@@ -107,18 +105,15 @@ type completion =
           handle returned at submission *)
 
 val submit_batch : t -> submission array -> sub_outcome array
-(** Stage the batch on the submission ring and drain it through the
-    output/input paths in submission order.  Returns one outcome per
-    entry, in order.  Completions are not returned here — they land on
-    the completion ring as each operation retires; {!reap_completions}
-    collects them.  Batches larger than the ring capacity drain in
-    chunks transparently. *)
+(** Run the entries through the output/input paths in submission order.
+    Returns one outcome per entry, in order.  Completions are not
+    returned here — each is queued on the endpoint as its operation
+    retires; {!reap_completions} collects them. *)
 
 val reap_completions : t -> completion list
-(** Drain every available completion, oldest first.  Completions that
-    arrived while the completion ring was full were spilled to an
-    unbounded overflow queue (counted by the [ring_cq_overflows] trace
-    counter) and are delivered here in order; none are ever lost.
-    Cancelled inputs produce no completion. *)
+(** Take every queued completion, oldest first.  The queue is
+    unbounded: none is ever lost.  Each completion queued while 256 or
+    more were already waiting bumps the [ring_cq_overflows] trace
+    counter.  Cancelled inputs produce no completion. *)
 
 val completions_available : t -> int

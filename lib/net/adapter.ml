@@ -75,29 +75,14 @@ type t = {
   mutable rx_complete : rx_result -> unit;
   outboard : (int, bytes) Hashtbl.t;
   mutable next_outboard_id : int;
-  mutable dropped : int;
   tx_queue : tx_job Queue.t;
   resumes : (unit -> unit) Queue.t;
       (* unparked mid-PDU continuations; run before fresh tx jobs *)
   mutable tx_active : bool;
   credits : (int, credit_state) Hashtbl.t;
-  mutable stalls : int;
   faults : (int, fault_state) Hashtbl.t;  (* sender-side, per VC *)
   tx_pool : Memory.Buf_pool.t;  (* recycled burst staging buffers *)
-  tx_windows : (int, tx_window) Hashtbl.t;  (* per-VC open batch windows *)
   mutable trace : Simcore.Tracer.scope option;
-}
-
-(* A tx burst window groups the transmits of one endpoint batch under a
-   single trace span per VC: opened by [tx_window_open], the span begins
-   at the batch's first transmit and ends when the announced count has
-   drained.  Overlapping windows on a VC merge (the count accumulates).
-   Trace-only: transmission behaviour and timing are unchanged. *)
-and tx_window = {
-  mutable win_left : int;  (* transmits still expected *)
-  mutable win_n : int;  (* total announced (span argument) *)
-  mutable win_span : int;  (* 0 until the first transmit opens the span *)
-  mutable win_open : bool;
 }
 
 (* Credit arbitration is an active-set discipline: a VC whose next burst
@@ -152,15 +137,12 @@ let create engine p ~page_size ~name =
     rx_complete = (fun _ -> ());
     outboard = Hashtbl.create 8;
     next_outboard_id = 0;
-    dropped = 0;
     tx_queue = Queue.create ();
     resumes = Queue.create ();
     tx_active = false;
     credits = Hashtbl.create 4;
-    stalls = 0;
     faults = Hashtbl.create 4;
     tx_pool = Memory.Buf_pool.create ();
-    tx_windows = Hashtbl.create 4;
     trace = None;
   }
 
@@ -182,40 +164,6 @@ let count t ?n name =
   match t.trace with
   | Some s -> Simcore.Tracer.add_counter s ?n name
   | None -> ()
-let tx_window_open t ~vc ~n =
-  if n > 0 then
-    match Hashtbl.find_opt t.tx_windows vc with
-    | Some w ->
-      w.win_left <- w.win_left + n;
-      w.win_n <- w.win_n + n
-    | None ->
-      Hashtbl.add t.tx_windows vc
-        { win_left = n; win_n = n; win_span = 0; win_open = false }
-
-let note_tx_window t ~vc =
-  match Hashtbl.find_opt t.tx_windows vc with
-  | None -> ()
-  | Some w ->
-    if not w.win_open then begin
-      w.win_open <- true;
-      traced t (fun s ->
-          w.win_span <-
-            Simcore.Tracer.span_begin s "tx.window"
-              ~args:
-                [
-                  ("vc", Simcore.Tracer.Int vc);
-                  ("batch", Simcore.Tracer.Int w.win_n);
-                ])
-    end;
-    w.win_left <- w.win_left - 1;
-    if w.win_left <= 0 then begin
-      Hashtbl.remove t.tx_windows vc;
-      traced t (fun s -> Simcore.Tracer.span_end s ~id:w.win_span "tx.window");
-      count t "tx_windows"
-    end
-
-let staging_pool_stats t =
-  (Memory.Buf_pool.hits t.tx_pool, Memory.Buf_pool.misses t.tx_pool)
 
 let set_rx_mode t ~vc mode = Hashtbl.replace t.rx_modes vc mode
 let rx_mode t vc = Option.value ~default:Early_demux (Hashtbl.find_opt t.rx_modes vc)
@@ -245,7 +193,6 @@ let cancel_posted t ~vc ~token =
   !found
 
 let tx_free_at t = t.tx_busy_until
-let dropped_pdus t = t.dropped
 
 let flow t vc =
   match Hashtbl.find_opt t.flows vc with
@@ -264,8 +211,6 @@ let set_credit_limit t ~vc ~cells =
 
 let credits_available t ~vc =
   Option.map (fun cs -> cs.available) (Hashtbl.find_opt t.credits vc)
-
-let tx_stalls t = t.stalls
 
 (* {1 Link-fault schedule} *)
 
@@ -489,7 +434,6 @@ and rx_burst t ~vc ~chunk ~chunk_len ~pdu_off ~hdr_len ~total_len ~is_last
         s.dropping <- true;
         List.iter t.pool_return (List.rev s.frames);
         s.frames <- [];
-        t.dropped <- t.dropped + 1;
         count t "rx_drop_nopool";
         traced t (fun sc ->
             Simcore.Tracer.instant sc "rx.drop_nopool"
@@ -653,7 +597,6 @@ and send_burst t job ~i ~cells_done =
     (* Park this VC until the receiver returns enough credits, and hand
        the transmitter to other VCs: a stalled VC must not head-of-line
        block the adapter. *)
-    t.stalls <- t.stalls + 1;
     count t "tx_stalls";
     traced t (fun s ->
         Simcore.Tracer.instant s "tx.credit_stall"
@@ -739,7 +682,6 @@ let transmit t ~vc ~hdr ~desc ~on_tx_complete =
               ("bytes", Simcore.Tracer.Int total);
               ("cells", Simcore.Tracer.Int (Aal5.cells_for_len total));
             ]);
-  note_tx_window t ~vc;
   Queue.add { job_vc = vc; job_fl = fl; job_done = on_tx_complete } t.tx_queue;
   pump t
 

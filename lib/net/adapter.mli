@@ -68,7 +68,8 @@ val set_pool_supply : t -> (unit -> Memory.Frame.t option) -> unit
     means the pool is exhausted: the adapter hands back the frames of the
     partially received PDU through {!set_pool_return}, swallows the rest
     of the PDU, and completes it as an empty [Pooled_chain] with
-    [crc_ok = false] — the same typed failure a line error produces. *)
+    [crc_ok = false] — the same typed failure a line error produces.
+    Each such drop bumps the [rx_drop_nopool] trace counter. *)
 
 val set_pool_return : t -> (Memory.Frame.t -> unit) -> unit
 (** Where frames of a dropped partial chain are returned. *)
@@ -97,20 +98,6 @@ val tx_free_at : t -> Simcore.Sim_time.t
 (** When the transmitter will accept the next PDU (assuming no
     credit stalls). *)
 
-val tx_window_open : t -> vc:int -> n:int -> unit
-(** Announce that the next [n] transmits on [vc] belong to one batch
-    (an {!Endpoint.submit_batch} burst).  The adapter groups them under
-    a single [tx.window] trace span — opened at the batch's first
-    transmit, closed when all [n] have been queued — and bumps the
-    [tx_windows] counter.  Overlapping windows on a VC merge.  Purely
-    observational: transmission behaviour and timing are unchanged, so
-    batched and sequential submission stay simulation-identical. *)
-
-val staging_pool_stats : t -> int * int
-(** [(hits, misses)] of the pooled tx burst staging buffers — the
-    PR-4 {!Memory.Buf_pool} recycled across bursts and, with batching,
-    across every PDU of a submit window. *)
-
 (** {1 Credit-based flow control}
 
     The Credit Net network (paper reference [14]) is credit-based: a
@@ -128,7 +115,7 @@ val staging_pool_stats : t -> int * int
     credit grant touches only its own VC and unparks it when the window
     covers the waiting burst; no path scans the set of VCs, so
     thousands of independently credited VCs contend in O(1) per
-    event. *)
+    event.  Each park bumps the [tx_stalls] trace counter. *)
 
 val set_credit_limit : t -> vc:int -> cells:int -> unit
 (** Grant the {e sender} an initial window of [cells] for the VC.  Must
@@ -137,9 +124,6 @@ val set_credit_limit : t -> vc:int -> cells:int -> unit
 
 val credits_available : t -> vc:int -> int option
 (** [None] if the VC is uncredited. *)
-
-val tx_stalls : t -> int
-(** Number of times a VC parked waiting for credits. *)
 
 (** {1 Link-fault schedule}
 
@@ -190,4 +174,3 @@ val outboard_read : t -> id:int -> off:int -> len:int -> bytes
     included). *)
 
 val outboard_free : t -> id:int -> unit
-val dropped_pdus : t -> int

@@ -111,11 +111,12 @@ let test_replay_deterministic () =
   Alcotest.(check bool) "distinct seeds, distinct schedules" true
     (o1.F.schedule <> o3.F.schedule)
 
-(* Satellite: batched-path replay.  The ring fast path shares the single
-   Rng stream, so a batched run is just as pure a function of its seed —
-   same schedule, same trace, same event counts, including the ring
-   bookkeeping ([ring_cq_overflows]).  The same seed with batching off
-   must still complete (the isolation regime behind [--no-batch]). *)
+(* Satellite: batched-path replay.  The batch API shares the single Rng
+   stream, so a batched run is just as pure a function of its seed —
+   same schedule, same trace, same event counts, including the
+   completion-queue overflow count ([ring_cq_overflows], named for the
+   ring the queue replaced).  The same seed with batching off must
+   still complete (the isolation regime behind [--no-batch]). *)
 let test_batched_replay_event_counts () =
   let fuzz batch = F.run { F.default_config with steps = 400; seed = 42; batch } in
   let o1 = fuzz true and o2 = fuzz true in
@@ -128,7 +129,7 @@ let test_batched_replay_event_counts () =
     "same seed, same event counts under batching" o1.F.events o2.F.events;
   Alcotest.(check (list string)) "same seed, same batched schedule"
     o1.F.schedule o2.F.schedule;
-  Alcotest.(check bool) "ring path actually exercised" true
+  Alcotest.(check bool) "batch path actually exercised" true
     (List.exists (fun line -> contains line "batched") o1.F.schedule);
   Alcotest.(check bool) "completions reaped" true
     (List.exists (fun line -> contains line "reap") o1.F.schedule);
@@ -138,7 +139,7 @@ let test_batched_replay_event_counts () =
   | F.Violations vs ->
     Alcotest.failf "sequential isolation run violated invariants:\n%s"
       (String.concat "\n" (List.map I.violation_to_string vs)));
-  Alcotest.(check bool) "isolation regime avoids the ring path" true
+  Alcotest.(check bool) "isolation regime avoids the batch path" true
     (not (List.exists (fun line -> contains line "batched") o3.F.schedule))
 
 (* Satellite: storage-regime replay.  File writes, reads, fsyncs and

@@ -155,6 +155,8 @@ let test_arq_over_credited_link () =
   (* Reliable transport over a flow-controlled VC with corruption: both
      mechanisms compose. *)
   let w = Genie.World.create ~spec_a:light ~spec_b:light () in
+  let ha = w.Genie.World.a in
+  Simcore.Tracer.enable_counters ha.Genie.Host.tracer;
   let da, db = Genie.World.endpoint_pair w ~vc:1 ~mode:Net.Adapter.Early_demux in
   let aa, ab = Genie.World.endpoint_pair w ~vc:2 ~mode:Net.Adapter.Early_demux in
   Net.Adapter.set_credit_limit w.Genie.World.a.Genie.Host.adapter ~vc:1 ~cells:600;
@@ -171,7 +173,9 @@ let test_arq_over_credited_link () =
   Genie.World.run w;
   Alcotest.(check bool) "delivered" true !done_ok;
   Alcotest.(check bool) "stalled for credits" true
-    (Net.Adapter.tx_stalls w.Genie.World.a.Genie.Host.adapter > 0);
+    (Simcore.Tracer.counter ha.Genie.Host.tracer ~host:ha.Genie.Host.name
+       "tx_stalls"
+     > 0);
   Alcotest.(check bool) "payload intact" true
     (Bytes.equal (Genie.Buf.read dst) (Genie.Buf.expected_pattern ~len ~seed:88))
 

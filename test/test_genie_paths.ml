@@ -353,9 +353,9 @@ let pool_matches_eager_queue =
           step op && Genie.Host.pool_level host = Queue.length eager && order ())
         script)
 
-(* Construction is pay-as-you-go: frame table, overlay pool, timer-wheel
-   buckets and endpoint rings are built on first use, so a probe world
-   costs a few thousand words (eager construction took ~33 K). *)
+(* Construction is pay-as-you-go: frame table, overlay pool and
+   timer-wheel buckets are built on first use, so a probe world costs a
+   few thousand words (eager construction took ~33 K). *)
 let test_world_allocation () =
   let n = 20 in
   let per_world =
