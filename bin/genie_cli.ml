@@ -640,7 +640,7 @@ let bench_compare_cmd =
     (Cmd.info "compare"
        ~doc:
          "Diff current BENCH_*.json results against a baseline; exit \
-          non-zero when any metric's mean moves by more than 0.1% in \
+          non-zero when any metric's value moves by more than 0.1% in \
           either direction, or disappears.")
     Term.(const run $ baseline_arg $ current_arg)
 

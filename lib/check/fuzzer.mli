@@ -126,9 +126,6 @@ type outcome = {
           check. *)
 }
 
-val event_keys : string list
-(** The counter names reported in [outcome.events]. *)
-
 val run : ?trace:Simcore.Tracer.t -> config -> outcome
 (** Build a fresh world and execute the schedule.  Deterministic in
     [config].  [trace] installs a shared tracer on both hosts (it is

@@ -59,18 +59,6 @@ type violation = {
 val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
-val free_list : Genie.Host.t -> violation list
-val zombie_reclaim : Genie.Host.t -> violation list
-val frame_accounting : Genie.Host.t -> violation list
-val object_slots : Genie.Host.t -> violation list
-val shadow_acyclic : Genie.Host.t -> violation list
-val pte_mapping : Genie.Host.t -> violation list
-val region_state : Genie.Host.t -> violation list
-val wiring : Genie.Host.t -> violation list
-val tcow_protection : Genie.Host.t -> violation list
-val io_refcounts : Genie.Host.t -> violation list
-val io_desc_safety : Genie.Host.t -> violation list
-
 val all : (string * (Genie.Host.t -> violation list)) list
 (** The full catalogue, name first, in the order above. *)
 

@@ -36,5 +36,3 @@ val deliver :
     frames displaced by swaps (the caller returns them to the pool or the
     free list).  Charges [Swap_pages] and [Copyout] on the ops context as
     appropriate. *)
-
-val is_aligned : buf:Buf.t -> src_off:int -> bool

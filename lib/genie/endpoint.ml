@@ -18,7 +18,6 @@ type submission =
 
 let host t = t.host
 let vc t = t.vc
-let mode t = t.mode
 let pending_inputs t = List.length t.pendings
 
 let alloc_seq t =

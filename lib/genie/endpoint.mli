@@ -11,7 +11,6 @@ type t
 val create : Host.t -> vc:int -> mode:Net.Adapter.rx_mode -> t
 val host : t -> Host.t
 val vc : t -> int
-val mode : t -> Net.Adapter.rx_mode
 
 val output :
   t ->

@@ -36,7 +36,6 @@ let create ?config (host : Host.t) =
   Store.Page_cache.set_trace_scope cache scope;
   { host; cache }
 
-let host t = t.host
 let cache t = t.cache
 let open_file t = Store.Page_cache.open_file t.cache
 let size t ~fd = Store.Page_cache.file_size t.cache fd

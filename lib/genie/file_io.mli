@@ -23,7 +23,6 @@
 type t
 
 val create : ?config:Store.Page_cache.config -> Host.t -> t
-val host : t -> Host.t
 val cache : t -> Store.Page_cache.t
 
 val open_file : t -> int

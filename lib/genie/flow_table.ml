@@ -103,9 +103,3 @@ let free t h =
     t.live <- t.live - 1;
     true
   end
-
-let iter_live t f =
-  Array.iteri
-    (fun slot gen ->
-      if gen land 1 = 1 then f ((gen lsl slot_bits) lor slot) t.payload.(slot))
-    t.generation

@@ -47,8 +47,3 @@ val high_water : 'a t -> int
 val allocs : 'a t -> int
 (** Total [alloc] calls — total flows, for accounting; unlike
     {!capacity} this is unbounded. *)
-
-val iter_live : 'a t -> (handle -> 'a -> unit) -> unit
-
-val slot_of : handle -> int
-val generation_of : handle -> int

@@ -152,7 +152,4 @@ let free_sys_frames t frames =
 let frames_to_vm t frames = Ledger.release_all t.ledger frames
 
 let set_handler t ~vc handler = Hashtbl.replace t.handlers vc handler
-let trace t label = Simcore.Tracer.instant t.scope label
-let trace_f t label =
-  if Simcore.Tracer.on t.scope then Simcore.Tracer.instant t.scope (label ())
 let now_us t = Simcore.Sim_time.to_us (Simcore.Engine.now t.engine)

@@ -91,11 +91,3 @@ val frames_to_vm : t -> Memory.Frame.t list -> unit
 val set_handler : t -> vc:int -> (Net.Adapter.rx_result -> unit) -> unit
 
 val now_us : t -> float
-
-val trace : t -> string -> unit
-(** Record a trace event at the current simulated instant (cheap no-op
-    while the tracer is disabled). *)
-
-val trace_f : t -> (unit -> string) -> unit
-(** Like {!trace} but the label is built lazily, so hot paths pay no
-    formatting cost while the tracer is disabled. *)

@@ -35,7 +35,6 @@ type pending = {
 }
 
 let token p = p.p_token
-let semantics p = p.sem
 
 let spec_space = function
   | App_buffer b -> b.Buf.space

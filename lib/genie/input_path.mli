@@ -40,7 +40,6 @@ exception Backpressure
     [Error `Again]. *)
 
 val token : pending -> int
-val semantics : pending -> Semantics.t
 
 val prepare :
   Host.t ->

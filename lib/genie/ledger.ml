@@ -35,11 +35,6 @@ let release t (frame : Memory.Frame.t) =
 
 let release_all t frames = List.iter (release t) frames
 
-let held_count t (frame : Memory.Frame.t) =
-  match Hashtbl.find_opt t.held frame.Memory.Frame.id with
-  | Some (_, n) -> !n
-  | None -> 0
-
 let held_frames t =
   Hashtbl.fold (fun _ (frame, n) acc -> (frame, !n) :: acc) t.held []
 

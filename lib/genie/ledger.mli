@@ -43,7 +43,6 @@ val release : t -> Memory.Frame.t -> unit
 
 val release_all : t -> Memory.Frame.t list -> unit
 
-val held_count : t -> Memory.Frame.t -> int
 val held_frames : t -> (Memory.Frame.t * int) list
 
 val note :

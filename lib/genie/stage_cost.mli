@@ -23,14 +23,6 @@ val base_us : Machine.Cost_model.t -> Net.Net_params.t -> len:int -> float
 val sender_prepare : Machine.Cost_model.t -> Semantics.t -> len:int -> float
 (** Sender prepare-time cost of one datagram, Table 2. *)
 
-val receiver_dispose_early :
-  Machine.Cost_model.t -> Semantics.t -> len:int -> float
-(** Receiver dispose-time cost with early demultiplexing, Table 3. *)
-
-val receiver_pooled :
-  Machine.Cost_model.t -> Semantics.t -> len:int -> aligned:bool -> float
-(** Receiver ready+dispose cost with pooled buffering, Table 4. *)
-
 val receiver_stage :
   Machine.Cost_model.t -> scheme -> Semantics.t -> len:int -> float
 (** Receiver-side cost under [scheme]; unaligned pooled applies only to

@@ -7,7 +7,6 @@ type t = {
   classes : bytes Queue.t array;
   max_per_class : int;
   mutable hits : int;
-  mutable misses : int;
 }
 
 let debug_poison = ref false
@@ -17,7 +16,6 @@ let create ?(max_per_class = 64) () =
     classes = Array.init (max_class_bits - min_class_bits + 1) (fun _ -> Queue.create ());
     max_per_class;
     hits = 0;
-    misses = 0;
   }
 
 let class_of_len len =
@@ -30,16 +28,13 @@ let take t ~len =
   match class_of_len len with
   | None ->
     (* Larger than the biggest class: not poolable. *)
-    t.misses <- t.misses + 1;
     Bytes.create len
   | Some cls -> (
     match Queue.take_opt t.classes.(cls) with
     | Some buf ->
       t.hits <- t.hits + 1;
       buf
-    | None ->
-      t.misses <- t.misses + 1;
-      Bytes.create (1 lsl (cls + min_class_bits)))
+    | None -> Bytes.create (1 lsl (cls + min_class_bits)))
 
 let give t buf =
   let len = Bytes.length buf in
@@ -53,4 +48,3 @@ let give t buf =
     | Some _ | None -> ()
 
 let hits t = t.hits
-let misses t = t.misses

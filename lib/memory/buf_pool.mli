@@ -32,6 +32,3 @@ val debug_poison : bool ref
 
 val hits : t -> int
 (** Takes served from the pool without allocating. *)
-
-val misses : t -> int
-(** Takes that had to allocate a fresh buffer. *)

@@ -48,9 +48,3 @@ let blit_out t ~src_off ~dst ~dst_off ~len =
   Bytes.blit (data t) src_off dst dst_off len
 
 let copy_contents ~src ~dst = Bytes.blit (data src) 0 (data dst) 0 src.size
-
-let state_name = function Free -> "free" | Allocated -> "alloc" | Zombie -> "zombie"
-
-let pp fmt t =
-  Format.fprintf fmt "frame#%d[%s in=%d out=%d wired=%d]" t.id
-    (state_name t.state) t.input_refs t.output_refs t.wired

@@ -56,5 +56,3 @@ val fill : t -> char -> unit
 val blit_in : t -> dst_off:int -> src:bytes -> src_off:int -> len:int -> unit
 val blit_out : t -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> unit
 val copy_contents : src:t -> dst:t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -9,7 +9,6 @@ let of_segs segs =
     segs;
   { segs; total_len = List.fold_left (fun n s -> n + s.len) 0 segs }
 
-let segs t = t.segs
 let total_len t = t.total_len
 let single frame ~off ~len = of_segs [ { frame; off; len } ]
 
@@ -69,10 +68,3 @@ let frames t =
         Some seg.frame
       end)
     t.segs
-
-let pp fmt t =
-  Format.fprintf fmt "desc[%dB:" t.total_len;
-  List.iter
-    (fun s -> Format.fprintf fmt " #%d+%d/%d" s.frame.Frame.id s.off s.len)
-    t.segs;
-  Format.fprintf fmt "]"

@@ -12,7 +12,6 @@ type seg = { frame : Frame.t; off : int; len : int }
 type t
 
 val of_segs : seg list -> t
-val segs : t -> seg list
 val total_len : t -> int
 
 val single : Frame.t -> off:int -> len:int -> t
@@ -29,5 +28,3 @@ val scatter : t -> off:int -> src:bytes -> src_off:int -> len:int -> unit
 
 val frames : t -> Frame.t list
 (** Frames covered, in order, without duplicates. *)
-
-val pp : Format.formatter -> t -> unit

@@ -39,6 +39,3 @@ let scan t ~target =
   done;
   Queue.transfer skipped t.queue;
   !evicted
-
-let pageable_count t =
-  Queue.fold (fun n (f : Frame.t) -> if f.Frame.pageable then n + 1 else n) 0 t.queue

@@ -34,5 +34,3 @@ val scan : t -> target:int -> int
 (** Try to evict up to [target] frames; returns how many were evicted.
     Frames are considered in FIFO (approximate LRU) order; skipped frames
     keep their place in the queue. *)
-
-val pageable_count : t -> int

@@ -12,9 +12,6 @@ val cell_payload : int
 val cell_total : int
 (** 53 bytes: payload plus the 5-byte cell header. *)
 
-val trailer_len : int
-(** 8 bytes. *)
-
 val max_pdu : int
 (** Largest payload AAL5 can carry (65535). *)
 

@@ -192,8 +192,6 @@ let cancel_posted t ~vc ~token =
   Queue.transfer keep q;
   !found
 
-let tx_free_at t = t.tx_busy_until
-
 let flow t vc =
   match Hashtbl.find_opt t.flows vc with
   | Some f -> f

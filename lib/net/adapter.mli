@@ -94,10 +94,6 @@ val transmit :
 (** Queue a PDU.  [on_tx_complete] fires when the last burst has left the
     adapter (output dispose time at the sender). *)
 
-val tx_free_at : t -> Simcore.Sim_time.t
-(** When the transmitter will accept the next PDU (assuming no
-    credit stalls). *)
-
 (** {1 Credit-based flow control}
 
     The Credit Net network (paper reference [14]) is credit-based: a

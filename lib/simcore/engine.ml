@@ -19,6 +19,7 @@ let schedule t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   at t ~time:(Sim_time.add t.clock delay) f
 
+(* Process one event; [false] once the queue is empty. *)
 let step t =
   match Wheel.pop t.queue with
   | None -> false

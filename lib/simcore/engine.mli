@@ -26,8 +26,5 @@ val run_until : t -> Sim_time.t -> unit
 (** Process events with timestamp [<= limit]; afterwards the clock reads
     at least [limit]. *)
 
-val step : t -> bool
-(** Process a single event.  Returns [false] when the queue is empty. *)
-
 val pending : t -> int
 (** Events still queued. *)

@@ -9,4 +9,3 @@ let add = ( + )
 let diff later earlier = later - earlier
 let max = Stdlib.max
 let compare = Stdlib.compare
-let pp fmt t = Format.fprintf fmt "%.3fus" (to_us t)

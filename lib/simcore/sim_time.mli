@@ -24,4 +24,3 @@ val diff : t -> t -> t
 
 val max : t -> t -> t
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -53,10 +53,7 @@ let create ?(enabled = false) () =
 
 let enable t = t.enabled <- true
 let disable t = t.enabled <- false
-let enabled t = t.enabled
 let enable_counters t = t.count_only <- true
-let disable_counters t = t.count_only <- false
-let counters_enabled t = t.enabled || t.count_only
 let set_clock t clock = t.clock <- clock
 
 let push t ~time ~host ~sub ~name ~kind ~args =
@@ -67,7 +64,6 @@ let push t ~time ~host ~sub ~name ~kind ~args =
 type scope = { t : t; host : string; sub : subsystem }
 
 let scope t ~host ~sub = { t; host; sub }
-let tracer s = s.t
 let on s = s.t.enabled
 let counting s = s.t.enabled || s.t.count_only
 
@@ -198,8 +194,3 @@ let tail t n =
     | _ -> []
   in
   List.rev (take (max n 0) t.events)
-
-let pp fmt t =
-  List.iter
-    (fun ev -> Format.fprintf fmt "%a %s@." Sim_time.pp ev.time (render ev))
-    (typed_events t)

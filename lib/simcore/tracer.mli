@@ -42,7 +42,6 @@ type t
 val create : ?enabled:bool -> unit -> t
 val enable : t -> unit
 val disable : t -> unit
-val enabled : t -> bool
 
 val enable_counters : t -> unit
 (** Count-only mode: named counters accumulate but no events are
@@ -50,11 +49,6 @@ val enable_counters : t -> unit
     — what the adaptive controller turns on to sample evidence during
     million-flow runs.  Full {!enable} supersedes it (events and
     counters both). *)
-
-val disable_counters : t -> unit
-
-val counters_enabled : t -> bool
-(** True when counters accumulate: fully enabled or count-only mode. *)
 
 val set_clock : t -> (unit -> Sim_time.t) -> unit
 (** Install the sim clock used to stamp events emitted through scopes
@@ -69,7 +63,6 @@ val set_clock : t -> (unit -> Sim_time.t) -> unit
 type scope
 
 val scope : t -> host:string -> sub:subsystem -> scope
-val tracer : scope -> t
 
 val on : scope -> bool
 (** [on s] is true while the underlying tracer is enabled.  Guard
@@ -142,5 +135,3 @@ val tail : t -> int -> event list
 
 val render : event -> string
 (** One-line human-readable form, e.g. ["[a/store] cache_hits = 3"]. *)
-
-val pp : Format.formatter -> t -> unit

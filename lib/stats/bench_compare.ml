@@ -1,7 +1,7 @@
 (* Regression gate: diff two Bench_result.t values metric by metric.
 
    Every metric comes from a deterministic simulator, so it is exactly
-   reproducible run to run.  A mean that moves by more than
+   reproducible run to run.  A value that moves by more than
    [threshold_pct] (0.1%, absorbing only serialization rounding) in
    either direction fails: a simulated result changes only with a refreshed baseline.
 
@@ -18,8 +18,8 @@ type verdict = Within | Improvement | Regression
 type entry = {
   name : string;
   unit_ : string;
-  baseline_mean : float;
-  current_mean : float;
+  baseline : float;
+  current : float;
   change_pct : float; (* signed, relative to baseline *)
   verdict : verdict;
 }
@@ -52,15 +52,14 @@ let compare ~(baseline : Bench_result.t) ~(current : Bench_result.t) () =
         match Bench_result.find_metric current bm.Bench_result.name with
         | None -> None
         | Some cm ->
-          let baseline_mean = bm.Bench_result.summary.Summary.mean in
-          let current_mean = cm.Bench_result.summary.Summary.mean in
-          let change = change_pct ~baseline:baseline_mean ~current:current_mean in
+          let baseline = bm.Bench_result.value and current = cm.Bench_result.value in
+          let change = change_pct ~baseline ~current in
           Some
             {
               name = bm.Bench_result.name;
               unit_ = bm.Bench_result.unit_;
-              baseline_mean;
-              current_mean;
+              baseline;
+              current;
               change_pct = change;
               verdict = judge ~better:bm.Bench_result.better ~change_pct:change;
             })
@@ -99,7 +98,7 @@ let render r =
   let show e tag =
     Buffer.add_string b
       (Printf.sprintf "  %s %-58s %14.6g -> %14.6g %s (%+.2f%%, threshold %.2f%%)\n" tag
-         e.name e.baseline_mean e.current_mean e.unit_ e.change_pct threshold_pct)
+         e.name e.baseline e.current e.unit_ e.change_pct threshold_pct)
   in
   List.iter (fun e -> show e "REGRESSION") bad;
   List.iter (fun e -> show e "improvement") good;

@@ -1,34 +1,26 @@
 (* Machine-readable benchmark results.
 
    A [t] is one benchmark section's output: run metadata (section name,
-   environment stamp, optional seed), plus a list of named metrics, each
-   with raw samples and a [Summary.t].  Sections record metrics through
-   a mutable [collector]; the result serializes to/from the stable JSON
-   schema documented in docs/BENCHMARKING.md and is written as
-   BENCH_<section>.json.
+   environment stamp), plus a list of named metrics, each one value.
+   Sections record metrics through a mutable [collector]; the result
+   serializes to/from the stable JSON schema documented in
+   docs/BENCHMARKING.md and is written as BENCH_<section>.json.
 
    Every metric comes from the deterministic simulator, so it is
    exactly reproducible and the regression gate is strict about it.
    [better] says which direction is an improvement; [Neutral] marks
    calibration values. *)
 
-let schema_version = 1
+let schema_version = 2
 
 type better = Lower | Higher | Neutral
 
-type metric = {
-  name : string;
-  unit_ : string;
-  better : better;
-  samples : float list;
-  summary : Summary.t;
-}
+type metric = { name : string; unit_ : string; better : better; value : float }
 
 type env = { os_type : string; word_size : int; ocaml_version : string }
 
 type t = {
   section : string;
-  seed : int option;
   created : string option;
   env : env;
   metrics : metric list;
@@ -41,37 +33,30 @@ let current_env () =
 
 type collector = {
   c_section : string;
-  mutable c_seed : int option;
   mutable c_created : string option;
   mutable c_rev_metrics : metric list;
 }
 
 let create_collector ~section () =
-  { c_section = section; c_seed = None; c_created = None; c_rev_metrics = [] }
+  { c_section = section; c_created = None; c_rev_metrics = [] }
 
-let set_seed c seed = c.c_seed <- Some seed
 let set_created c created = c.c_created <- Some created
 
-(* A non-finite sample is a broken run (a transfer that never
-   completed leaves its time at [nan]); it must fail the section, not
-   vanish from a refreshed baseline. *)
-let add c ~name ~unit_ ?(better = Lower) samples =
-  if not (List.for_all Float.is_finite samples) then
-    invalid_arg (Printf.sprintf "Bench_result.add: non-finite sample in %S" name);
+(* A non-finite value is a broken run (a transfer that never completed
+   leaves its time at [nan]); it must fail the section, not vanish from
+   a refreshed baseline. *)
+let scalar c ~name ~unit_ ?(better = Lower) value =
+  if not (Float.is_finite value) then
+    invalid_arg (Printf.sprintf "Bench_result.scalar: non-finite value in %S" name);
   if List.exists (fun m -> String.equal m.name name) c.c_rev_metrics then
-    invalid_arg (Printf.sprintf "Bench_result.add: duplicate metric %S" name);
-  c.c_rev_metrics <-
-    { name; unit_; better; samples; summary = Summary.of_samples samples }
-    :: c.c_rev_metrics
-
-let scalar c ~name ~unit_ ?better v = add c ~name ~unit_ ?better [ v ]
+    invalid_arg (Printf.sprintf "Bench_result.scalar: duplicate metric %S" name);
+  c.c_rev_metrics <- { name; unit_; better; value } :: c.c_rev_metrics
 
 let collector_is_empty c = c.c_rev_metrics = []
 
 let result c =
   {
     section = c.c_section;
-    seed = c.c_seed;
     created = c.c_created;
     env = current_env ();
     metrics = List.rev c.c_rev_metrics;
@@ -93,8 +78,7 @@ let metric_to_json m =
       ("name", Json.Str m.name);
       ("unit", Json.Str m.unit_);
       ("better", Json.Str (better_name m.better));
-      ("summary", Summary.to_json m.summary);
-      ("samples", Json.List (List.map (fun s -> Json.Float s) m.samples));
+      ("value", Json.Float m.value);
     ]
 
 let to_json t =
@@ -102,7 +86,6 @@ let to_json t =
     [
       ("schema_version", Json.Int schema_version);
       ("section", Json.Str t.section);
-      ("seed", match t.seed with Some s -> Json.Int s | None -> Json.Null);
       ("created", match t.created with Some s -> Json.Str s | None -> Json.Null);
       ( "env",
         Json.Obj
@@ -125,44 +108,28 @@ let metric_of_json j =
   in
   let* name = str "name" in
   let* unit_ = str "unit" in
-  (* Files written while wall-clock metrics existed tag every metric
-     with a kind; "sim" is the only one still compared. *)
-  let* () =
-    match Option.bind (Json.member "kind" j) Json.to_str with
-    | None | Some "sim" -> Ok ()
-    | Some k -> Error (Printf.sprintf "metric %s: unsupported kind %S" name k)
-  in
   let* better_s = str "better" in
   let* better =
     match better_of_name better_s with
     | Some b -> Ok b
     | None -> Error (Printf.sprintf "metric %s: unknown better %S" name better_s)
   in
-  let* summary =
-    match Json.member "summary" j with
-    | Some sj -> Summary.of_json sj
-    | None -> Error (Printf.sprintf "metric %s: missing summary" name)
+  let* value =
+    match Option.bind (Json.member "value" j) Json.to_float with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "metric %s: missing or non-numeric value" name)
   in
-  let* samples =
-    match Option.bind (Json.member "samples" j) Json.to_list with
-    | Some items ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          match Json.to_float item with
-          | Some f -> Ok (f :: acc)
-          | None -> Error (Printf.sprintf "metric %s: non-numeric sample" name))
-        (Ok []) items
-      |> Result.map List.rev
-    | None -> Error (Printf.sprintf "metric %s: missing samples" name)
-  in
-  Ok { name; unit_; better; samples; summary }
+  Ok { name; unit_; better; value }
 
 let of_json j =
   let ( let* ) = Result.bind in
   let* () =
     match Option.bind (Json.member "schema_version" j) Json.to_int with
     | Some v when v = schema_version -> Ok ()
+    | Some 1 ->
+      Error
+        "schema_version 1 is no longer read; refresh the file with \
+         `genie_cli bench run --out DIR`"
     | Some v -> Error (Printf.sprintf "unsupported schema_version %d" v)
     | None -> Error "missing schema_version"
   in
@@ -171,7 +138,6 @@ let of_json j =
     | Some s -> Ok s
     | None -> Error "missing section"
   in
-  let seed = Option.bind (Json.member "seed" j) Json.to_int in
   let created = Option.bind (Json.member "created" j) Json.to_str in
   let* env =
     match Json.member "env" j with
@@ -200,7 +166,7 @@ let of_json j =
       |> Result.map List.rev
     | None -> Error "missing metrics"
   in
-  Ok { section; seed; created; env; metrics }
+  Ok { section; created; env; metrics }
 
 let of_string s = Result.bind (Json.of_string s) of_json
 

@@ -62,7 +62,6 @@ let copy t =
   }
 
 let count t = t.n
-let sum t = t.sum
 let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
 let min t = t.min
 let max t = t.max

@@ -13,18 +13,16 @@
     Count, sum, minimum and maximum are tracked exactly; {!quantile} is
     nearest-rank over the bucket counts, with the extreme ranks
     returning the exact extrema.  Law-tested in [test_stats] against
-    exact {!Summary} percentiles and for merge associativity. *)
+    exact nearest-rank quantiles and for merge associativity. *)
 
 type t
 
 val create : unit -> t
-val copy : t -> t
 
 val add : t -> float -> unit
 (** Record one sample.  @raise Invalid_argument on NaN or negative. *)
 
 val count : t -> int
-val sum : t -> float
 val mean : t -> float
 val min : t -> float
 val max : t -> float
@@ -37,8 +35,7 @@ val quantile : t -> float -> float
     @raise Invalid_argument when empty or [q] out of range. *)
 
 val percentile : t -> float -> float
-(** [percentile t p = quantile t (p /. 100.)] — the {!Summary}
-    convention. *)
+(** [percentile t p = quantile t (p /. 100.)]. *)
 
 val merge : t -> t -> t
 (** Pure pointwise merge: the summary of the union of both sample

@@ -1,6 +1,6 @@
 (** Exporters for the typed kernel-path trace (see {!Simcore.Tracer}).
 
-    [to_chrome] renders the Chrome [trace_event] JSON format — load the
+    [to_chrome_string] renders the Chrome [trace_event] JSON format — load the
     file in Perfetto (ui.perfetto.dev) or [chrome://tracing].  Hosts
     become processes, subsystems become threads, span begin/end pairs
     become async nestable events, charges become complete events with a
@@ -10,7 +10,6 @@
     copied bytes, COW breaks, wires, deferred deallocations, ...) as an
     ASCII table. *)
 
-val to_chrome : Simcore.Tracer.t -> Json.t
 val to_chrome_string : ?indent:int -> Simcore.Tracer.t -> string
 
 val counter_summary : Simcore.Tracer.t -> string

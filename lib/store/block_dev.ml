@@ -10,7 +10,6 @@ type t = {
   media : (int, bytes) Hashtbl.t;
   mutable busy_until : T.t;
   mutable next_at : int;  (* arm position: the block after the last transfer *)
-  mutable in_flight : int;
   mutable reads : int;
   mutable writes : int;
   mutable seeks : int;
@@ -27,7 +26,6 @@ let create engine costs ~vm =
     media = Hashtbl.create 256;
     busy_until = T.zero;
     next_at = 0;
-    in_flight = 0;
     reads = 0;
     writes = 0;
     seeks = 0;
@@ -39,9 +37,6 @@ let page_size t = t.page_size
 let reads t = t.reads
 let writes t = t.writes
 let seeks t = t.seeks
-let in_flight t = t.in_flight
-let busy_until t = t.busy_until
-let peek_block t block = Hashtbl.find_opt t.media block
 
 let counter t ?(n = 1) name =
   match t.trace with
@@ -72,7 +67,6 @@ let submit t ~dir ~block ~frames ~on_complete =
   let finish = T.add start dur in
   t.busy_until <- finish;
   t.next_at <- block + n;
-  t.in_flight <- t.in_flight + 1;
   (* The in-flight request is a live page-referencing handle: register
      it with the VM so the io-refcounts invariant can account for the
      references it holds. *)
@@ -112,7 +106,6 @@ let submit t ~dir ~block ~frames ~on_complete =
       | `Read -> List.iter (Memory.Phys_mem.unref_input t.phys) frames
       | `Write -> List.iter (Memory.Phys_mem.unref_output t.phys) frames);
       Vm.Vm_sys.forget_io t.vm io_id;
-      t.in_flight <- t.in_flight - 1;
       on_complete ())
 
 let flush t ~on_complete =

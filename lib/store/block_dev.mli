@@ -55,11 +55,3 @@ val writes : t -> int
 
 val seeks : t -> int
 (** Requests that paid the seek cost. *)
-
-val in_flight : t -> int
-(** Transfers submitted but not yet completed. *)
-
-val busy_until : t -> Simcore.Sim_time.t
-
-val peek_block : t -> int -> bytes option
-(** Media contents of one block, if ever written (tests). *)

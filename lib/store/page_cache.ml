@@ -88,18 +88,9 @@ let create ?(config = default_config) ~engine ~dev ~charging ~alloc_frame
   }
 
 let set_trace_scope t scope = t.trace <- Some scope
-let page_size t = t.page_size
 let dev t = t.dev
-let engine t = t.engine
-let charging t = t.chg
-let cached_pages t = Hashtbl.length t.table
 let dirty_pages t = t.dirty_count
 let is_cached t ~fd ~page = Hashtbl.mem t.table (fd, page)
-
-let is_dirty t ~fd ~page =
-  match Hashtbl.find_opt t.table (fd, page) with
-  | Some e -> e.dirty
-  | None -> false
 
 let counter t ?(n = 1) name =
   match t.trace with

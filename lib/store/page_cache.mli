@@ -71,10 +71,7 @@ val set_trace_scope : t -> Simcore.Tracer.scope -> unit
     [readaheads], [writebacks], [fsyncs], [cache_evictions],
     [wb_throttles], [store_rejects]. *)
 
-val page_size : t -> int
 val dev : t -> Block_dev.t
-val engine : t -> Simcore.Engine.t
-val charging : t -> charging
 
 val open_file : t -> int
 (** Create an empty file; returns its descriptor. *)
@@ -125,7 +122,5 @@ val drop_caches : t -> int
     [free_frame]); returns the number dropped.  Cold-read benchmarks
     use this between phases. *)
 
-val cached_pages : t -> int
 val dirty_pages : t -> int
 val is_cached : t -> fd:int -> page:int -> bool
-val is_dirty : t -> fd:int -> page:int -> bool

@@ -376,10 +376,6 @@ let iter_read t ~addr ~len f =
       let frame = resolve_read t ~vpn in
       f ~buf_off frame ~off ~len)
 
-let touch t ~addr ~len =
-  iter_pages t ~addr ~len (fun ~vpn ~off:_ ~buf_off:_ ~len:_ ->
-      ignore (resolve_read t ~vpn))
-
 (* {1 Kernel mechanisms} *)
 
 let iter_region_vpns (region : Region.t) f =

@@ -79,9 +79,6 @@ val iter_write :
     page order as {!write}, and hand each physical chunk to the callback
     to store into — {!write} without a source buffer. *)
 
-val touch : t -> addr:int -> len:int -> unit
-(** Fault in (for reading) every page of the range. *)
-
 val resolve_read : t -> vpn:int -> Memory.Frame.t
 val resolve_write : t -> vpn:int -> Memory.Frame.t
 

@@ -28,7 +28,6 @@ let rec find_chain t idx =
 
 let set_slot t idx slot = Hashtbl.replace t.pages idx slot
 let remove_slot t idx = Hashtbl.remove t.pages idx
-let page_count t = Hashtbl.length t.pages
 
 let rec chain_input_refs t =
   t.input_refs

@@ -34,7 +34,6 @@ val find_chain : t -> int -> (t * slot) option
 
 val set_slot : t -> int -> slot -> unit
 val remove_slot : t -> int -> unit
-val page_count : t -> int
 
 val chain_input_refs : t -> int
 (** Total pending input references along the shadow chain. *)

@@ -33,19 +33,6 @@ let map t ~vpn ~frame ~prot =
   | None -> Hashtbl.add t.entries vpn { frame; prot });
   rmap_add t frame.Memory.Frame.id vpn
 
-let required t vpn =
-  match find t vpn with
-  | Some pte -> pte
-  | None -> invalid_arg "Page_table: virtual page not mapped"
-
-let set_prot t ~vpn prot = (required t vpn).prot <- prot
-
-let replace_frame t ~vpn frame =
-  let pte = required t vpn in
-  rmap_remove t pte.frame.Memory.Frame.id vpn;
-  pte.frame <- frame;
-  rmap_add t frame.Memory.Frame.id vpn
-
 let unmap t ~vpn =
   match find t vpn with
   | None -> ()
@@ -57,8 +44,6 @@ let vpns_of_frame t (frame : Memory.Frame.t) =
   match Hashtbl.find_opt t.rmap frame.Memory.Frame.id with
   | Some set -> List.sort compare (Hashtbl.fold (fun vpn () acc -> vpn :: acc) set [])
   | None -> []
-
-let entry_count t = Hashtbl.length t.entries
 
 let iter t f = Hashtbl.iter (fun vpn pte -> f ~vpn pte) t.entries
 

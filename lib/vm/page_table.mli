@@ -15,19 +15,11 @@ val find : t -> int -> pte option
 val map : t -> vpn:int -> frame:Memory.Frame.t -> prot:Prot.t -> unit
 (** Enter or replace a translation. *)
 
-val set_prot : t -> vpn:int -> Prot.t -> unit
-(** @raise Invalid_argument if the page is not mapped. *)
-
-val replace_frame : t -> vpn:int -> Memory.Frame.t -> unit
-(** Point an existing entry at a different frame (page swapping). *)
-
 val unmap : t -> vpn:int -> unit
 
 val vpns_of_frame : t -> Memory.Frame.t -> int list
 (** Virtual pages currently mapping the frame, ascending.  Backed by a
     per-frame hash set, so lookup is O(set size), not O(mappings). *)
-
-val entry_count : t -> int
 
 val iter : t -> (vpn:int -> pte -> unit) -> unit
 (** Visit every translation (unspecified order; for checkers and tests). *)
@@ -35,7 +27,7 @@ val iter : t -> (vpn:int -> pte -> unit) -> unit
 val check_rmap : t -> string list
 (** Consistency audit of the reverse map against the translations: every
     entry present in its frame's set, every set pair backed by a live
-    entry, no empty sets, totals equal {!entry_count}.  Returns
+    entry, no empty sets, totals equal the number of entries.  Returns
     human-readable violation strings (empty = consistent). *)
 
 val unsafe_rmap_drop : t -> vpn:int -> frame_id:int -> unit

@@ -33,7 +33,6 @@ let make ~start_vpn ~npages ~state ~obj =
   }
 
 let contains_vpn t vpn = vpn >= t.start_vpn && vpn < t.start_vpn + t.npages
-let end_vpn t = t.start_vpn + t.npages
 
 let movability_name = function
   | Unmovable -> "unmovable"
@@ -42,8 +41,3 @@ let movability_name = function
   | Moving_out -> "moving-out"
   | Moved_out -> "moved-out"
   | Weakly_moved_out -> "weakly-moved-out"
-
-let pp fmt t =
-  Format.fprintf fmt "region#%d[vpn %d..%d %s%s]" t.id t.start_vpn
-    (end_vpn t - 1) (movability_name t.state)
-    (if t.valid then "" else " removed")

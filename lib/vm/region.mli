@@ -38,8 +38,5 @@ val make :
   start_vpn:int -> npages:int -> state:movability -> obj:Memory_object.t -> t
 
 val contains_vpn : t -> int -> bool
-val end_vpn : t -> int
-(** One past the last virtual page. *)
 
 val movability_name : movability -> string
-val pp : Format.formatter -> t -> unit

@@ -94,7 +94,6 @@ let restock_reserve t =
   end
 
 let reserve_frames t = t.reserve
-let reserve_level t = List.length t.reserve
 
 let take_reserve t =
   match t.reserve with
@@ -144,6 +143,9 @@ let materialize t obj idx =
     frame
   | None -> invalid_arg "Vm_sys.materialize: object has no such page"
 
+(* The pageout daemon's hook: copy the frame to backing store, unmap it
+   everywhere, mark its object slot swapped and release it; [false] if
+   it belongs to no object. *)
 let evict_frame t (frame : Memory.Frame.t) =
   match Hashtbl.find_opt t.frame_owner frame.Memory.Frame.id with
   | None -> false

@@ -97,11 +97,6 @@ val materialize : t -> Memory_object.t -> int -> Memory.Frame.t
     store if necessary.  @raise Invalid_argument if the object has no such
     page. *)
 
-val evict_frame : t -> Memory.Frame.t -> bool
-(** Page a frame out: copy to backing store, unmap everywhere, mark the
-    object slot swapped, release the frame.  Returns [false] if the frame
-    belongs to no object.  Installed as the pageout daemon's hook. *)
-
 val run_pageout : t -> target:int -> int
 
 val alloc_pressured : t -> Memory.Frame.t
@@ -120,5 +115,3 @@ val alloc_pressured_zeroed : t -> Memory.Frame.t
 val reserve_frames : t -> Memory.Frame.t list
 (** Current emergency-reserve frames (for the invariant checker, which
     counts the reserve as a frame owner). *)
-
-val reserve_level : t -> int

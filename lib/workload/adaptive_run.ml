@@ -228,6 +228,7 @@ let run_rounds cfg ~make_policy =
     history = [];
   }
 
+(* The schedule pinned to [sem]; [migrations]/[epochs] are 0. *)
 let run_static (cfg : config) ~sem =
   run_rounds cfg ~make_policy:(fun _host ->
       { choose = (fun () -> sem); note = (fun ~len:_ -> ()); controller = None })

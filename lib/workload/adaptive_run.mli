@@ -29,10 +29,6 @@ type config = {
       (** application-buffer byte offset within its page (0 = aligned) *)
 }
 
-val default : scheme:Genie.Stage_cost.scheme -> phases:phase list -> config
-(** OC-3 / Micron P166, warmup 4, default thresholds, offset 0 (24 when
-    [scheme] is [Pooled_unaligned]). *)
-
 type outcome = {
   mean_rtt_us : float;  (** mean measured round trip, sim time *)
   total_us : float;  (** sim time spent in the measured window *)
@@ -44,14 +40,6 @@ type outcome = {
   history : (int * string) list;
       (** (epoch, new semantics name) per migration, oldest first *)
 }
-
-val run_static : config -> sem:Genie.Semantics.t -> outcome
-(** Run the schedule pinned to [sem]; [migrations]/[epochs] are 0. *)
-
-val run_adaptive :
-  ?adapt:Genie.Adapt.config -> config -> start:Genie.Semantics.t -> outcome
-(** Run the schedule with a {!Genie.Adapt} controller choosing the
-    semantics each round, starting from [start]. *)
 
 (** {1 Canonical regimes}
 

@@ -15,7 +15,4 @@ val background_fraction : float
     at 60 KB; all other semantics then land near their published values
     with no further tuning. *)
 
-val utilization : busy_fraction:float -> float
-(** Busy fraction plus background, clamped to [0, 1]. *)
-
 val utilization_pct : busy_fraction:float -> float

@@ -8,6 +8,7 @@ type series = { label : string; points : (int * float) list }
 
 let page_multiples = List.init 15 (fun i -> (i + 1) * 4096)
 
+(* 64 B .. 8 KB (Figure 5). *)
 let short_lengths =
   [ 64; 128; 256; 512; 1024; 1536; 2048; 2560; 3072; 3584; 4096; 6144; 8192 ]
 
@@ -207,6 +208,19 @@ type table8_side = {
   est_cpu : float;
 }
 
+let geometric_mean values =
+  match values with
+  | [] -> invalid_arg "Experiments.geometric_mean: empty list"
+  | _ ->
+    let log_sum =
+      List.fold_left
+        (fun acc v ->
+          if v <= 0. then invalid_arg "Experiments.geometric_mean: non-positive value";
+          acc +. log v)
+        0. values
+    in
+    exp (log_sum /. float_of_int (List.length values))
+
 let measured_op_fits spec =
   let psize = spec.Machine.Machine_spec.page_size in
   List.filter_map
@@ -254,7 +268,7 @@ let table8 () =
         cpu_ops
     in
     let stats l =
-      ( Stats.Summary.geometric_mean l,
+      ( geometric_mean l,
         List.fold_left Float.min infinity l,
         List.fold_left Float.max neg_infinity l )
     in

@@ -17,19 +17,6 @@ type series = { label : string; points : (int * float) list }
 val page_multiples : int list
 (** 4 KB .. 60 KB in page steps (Figures 3, 4, 6, 7). *)
 
-val short_lengths : int list
-(** 64 B .. 8 KB (Figure 5). *)
-
-val sweep :
-  ?mode:Net.Adapter.rx_mode ->
-  ?recv_offset:int ->
-  ?spec:Machine.Machine_spec.t ->
-  ?params:Net.Net_params.t ->
-  ?semantics:Genie.Semantics.t list ->
-  lens:int list ->
-  unit ->
-  run list
-
 val fig3 : unit -> run list
 (** Latency vs size, early demultiplexing. *)
 
@@ -47,9 +34,6 @@ val fig7 : unit -> run list
 
 val latency_series : run list -> series list
 val throughput_60k : run list -> (string * float) list
-
-val fit_of_runs : run list -> sem:Genie.Semantics.t -> Stats.Fit.t
-(** Least-squares fit of latency vs datagram length. *)
 
 type table7_row = {
   sem_name : string;
@@ -81,6 +65,10 @@ type table8_side = {
   est_cache_hi : float;
   est_cpu : float;
 }
+
+val geometric_mean : float list -> float
+(** Geometric mean of positive ratios, as Table 8 summarizes them.
+    Raises [Invalid_argument] on an empty list or a non-positive value. *)
 
 val table8 : unit -> table8_side list
 (** Scaling of measured data-passing costs on the Gateway P5-90 and the

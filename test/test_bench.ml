@@ -1,5 +1,5 @@
 (* Tests for the benchmark-result subsystem: the self-contained JSON
-   emitter/parser, the sample-statistics math, Bench_result round-trips,
+   emitter/parser, Bench_result round-trips, the committed baselines,
    and the compare gate's verdicts. *)
 
 module J = Stats.Json
@@ -82,97 +82,33 @@ let test_json_errors () =
   bad "[1] garbage";
   bad "{\"a\": 1,}"
 
-(* {1 Summary statistics} *)
-
-let test_summary_known () =
-  let s = Stats.Summary.of_samples [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ] in
-  Alcotest.(check int) "n" 8 s.Stats.Summary.n;
-  Alcotest.(check (float 1e-9)) "mean" 5. s.Stats.Summary.mean;
-  (* Classic population-stddev example: exactly 2. *)
-  Alcotest.(check (float 1e-9)) "stddev" 2. s.Stats.Summary.stddev;
-  Alcotest.(check (float 1e-9)) "min" 2. s.Stats.Summary.min;
-  Alcotest.(check (float 1e-9)) "max" 9. s.Stats.Summary.max;
-  Alcotest.(check (float 1e-9)) "p50" 4.5 s.Stats.Summary.p50
-
-let test_summary_single () =
-  let s = Stats.Summary.of_samples [ 3.5 ] in
-  Alcotest.(check int) "n" 1 s.Stats.Summary.n;
-  Alcotest.(check (float 1e-9)) "mean" 3.5 s.Stats.Summary.mean;
-  Alcotest.(check (float 1e-9)) "stddev" 0. s.Stats.Summary.stddev;
-  Alcotest.(check (float 1e-9)) "p95" 3.5 s.Stats.Summary.p95
-
-let test_summary_percentile () =
-  (* 0..100 inclusive: p50 = 50, p95 = 95, exact by interpolation. *)
-  let samples = List.init 101 float_of_int in
-  Alcotest.(check (float 1e-9)) "p50" 50. (Stats.Summary.percentile samples 50.);
-  Alcotest.(check (float 1e-9)) "p95" 95. (Stats.Summary.percentile samples 95.);
-  Alcotest.(check (float 1e-9)) "p0" 0. (Stats.Summary.percentile samples 0.);
-  Alcotest.(check (float 1e-9)) "p100" 100. (Stats.Summary.percentile samples 100.);
-  (* Interpolated between ranks: [10;20] at p25 -> 12.5. *)
-  Alcotest.(check (float 1e-9)) "interpolated" 12.5
-    (Stats.Summary.percentile [ 20.; 10. ] 25.)
-
-let test_summary_empty () =
-  Alcotest.check_raises "empty" (Invalid_argument "Summary.of_samples: empty sample list")
-    (fun () -> ignore (Stats.Summary.of_samples []))
-
 (* {1 Bench_result round-trip} *)
 
 let sample_result () =
   let c = R.create_collector ~section:"unit_test" () in
-  R.set_seed c 42;
   R.set_created c "2026-01-01T00:00:00Z";
-  R.add c ~name:"a.latency_us" ~unit_:"us" [ 1.5; 2.5; 3.5 ];
+  R.scalar c ~name:"a.latency_us" ~unit_:"us" 1.5;
   R.scalar c ~name:"b.throughput_mbps" ~unit_:"Mbps" ~better:R.Higher 133.7;
   R.scalar c ~name:"c.events" ~unit_:"count" 250.;
   R.scalar c ~name:"d.calib" ~unit_:"us/B" ~better:R.Neutral 0.018;
   R.result c
 
-(* Committed baselines carry two fields the writer no longer emits:
-   ["domains": 1] in the env stamp (from before the engine became
-   sequential-only) and ["kind": "sim"] on every metric (from when
-   wall-clock metrics existed).  Both must keep parsing. *)
-let with_legacy_fields = function
-  | J.Obj fields ->
-    J.Obj
-      (List.map
-         (function
-           | "env", J.Obj env -> ("env", J.Obj (env @ [ ("domains", J.Int 1) ]))
-           | "metrics", J.List ms ->
-             ( "metrics",
-               J.List
-                 (List.map
-                    (function
-                      | J.Obj m -> J.Obj (m @ [ ("kind", J.Str "sim") ]) | m -> m)
-                    ms) )
-           | kv -> kv)
-         fields)
-  | j -> j
-
 let test_bench_result_roundtrip () =
   let t = sample_result () in
-  let stamped = J.to_string (with_legacy_fields (R.to_json t)) in
-  Alcotest.(check bool) "legacy fields added" true (stamped <> R.to_string t);
-  List.iter
-    (fun input ->
-      match R.of_string input with
-      | Error e -> Alcotest.fail e
-      | Ok t' ->
-        Alcotest.(check string) "section" t.R.section t'.R.section;
-        Alcotest.(check (option int)) "seed" t.R.seed t'.R.seed;
-        Alcotest.(check (option string)) "created" t.R.created t'.R.created;
-        Alcotest.(check int) "metric count" (List.length t.R.metrics)
-          (List.length t'.R.metrics);
-        List.iter2
-          (fun (m : R.metric) (m' : R.metric) ->
-            Alcotest.(check string) "name" m.R.name m'.R.name;
-            Alcotest.(check string) "unit" m.R.unit_ m'.R.unit_;
-            Alcotest.(check bool) "better" true (m.R.better = m'.R.better);
-            Alcotest.(check (list (float 0.))) "samples" m.R.samples m'.R.samples;
-            Alcotest.(check (float 0.)) "mean" m.R.summary.Stats.Summary.mean
-              m'.R.summary.Stats.Summary.mean)
-          t.R.metrics t'.R.metrics)
-    [ R.to_string t; stamped ]
+  match R.of_string (R.to_string t) with
+  | Error e -> Alcotest.fail e
+  | Ok t' ->
+    Alcotest.(check string) "section" t.R.section t'.R.section;
+    Alcotest.(check (option string)) "created" t.R.created t'.R.created;
+    Alcotest.(check int) "metric count" (List.length t.R.metrics)
+      (List.length t'.R.metrics);
+    List.iter2
+      (fun (m : R.metric) (m' : R.metric) ->
+        Alcotest.(check string) "name" m.R.name m'.R.name;
+        Alcotest.(check string) "unit" m.R.unit_ m'.R.unit_;
+        Alcotest.(check bool) "better" true (m.R.better = m'.R.better);
+        Alcotest.(check (float 0.)) "value" m.R.value m'.R.value)
+      t.R.metrics t'.R.metrics
 
 let test_bench_result_file_roundtrip () =
   let t = sample_result () in
@@ -191,39 +127,128 @@ let test_collector_guards () =
   let c = R.create_collector ~section:"s" () in
   R.scalar c ~name:"m" ~unit_:"us" 1.;
   Alcotest.check_raises "duplicate metric"
-    (Invalid_argument "Bench_result.add: duplicate metric \"m\"") (fun () ->
+    (Invalid_argument "Bench_result.scalar: duplicate metric \"m\"") (fun () ->
       R.scalar c ~name:"m" ~unit_:"us" 2.);
-  (* A non-finite sample is a broken run: it fails loudly instead of
+  (* A non-finite value is a broken run: it fails loudly instead of
      vanishing from the result. *)
-  Alcotest.check_raises "nan sample"
-    (Invalid_argument "Bench_result.add: non-finite sample in \"n\"") (fun () ->
-      R.add c ~name:"n" ~unit_:"us" [ 1.; Float.nan ]);
-  Alcotest.check_raises "infinite sample"
-    (Invalid_argument "Bench_result.add: non-finite sample in \"i\"") (fun () ->
+  Alcotest.check_raises "nan value"
+    (Invalid_argument "Bench_result.scalar: non-finite value in \"n\"") (fun () ->
+      R.scalar c ~name:"n" ~unit_:"us" Float.nan);
+  Alcotest.check_raises "infinite value"
+    (Invalid_argument "Bench_result.scalar: non-finite value in \"i\"") (fun () ->
       R.scalar c ~name:"i" ~unit_:"us" Float.infinity);
   Alcotest.(check int) "nothing recorded" 1 (List.length (R.result c).R.metrics)
 
 let test_bench_result_rejects_bad_schema () =
-  (match R.of_string "{\"schema_version\": 999, \"section\": \"x\"}" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted wrong schema_version");
-  match R.of_string "not json at all" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted garbage"
-
-(* A metric tagged with any kind but "sim" comes from the wall-clock
-   gate that no longer exists; comparing it strictly would be wrong. *)
-let test_wall_kind_rejected () =
-  let wall =
-    {|{"schema_version": 1, "section": "s", "env": {}, "metrics": [
-       {"name": "w", "unit": "ns", "kind": "wall", "better": "lower",
-        "summary": {"n": 1, "mean": 1.0, "stddev": 0.0, "min": 1.0,
-                    "max": 1.0, "p50": 1.0, "p95": 1.0},
-        "samples": [1.0]}]}|}
+  let rejected input =
+    match R.of_string input with
+    | Error e -> e
+    | Ok _ -> Alcotest.failf "accepted %S" input
   in
-  match R.of_string wall with
-  | Error e -> Alcotest.(check string) "error" {|metric w: unsupported kind "wall"|} e
-  | Ok _ -> Alcotest.fail "accepted a wall-kind metric"
+  ignore (rejected "{\"schema_version\": 999, \"section\": \"x\"}");
+  ignore (rejected "not json at all");
+  (* A file from before metrics became single values is refused with
+     the command that rewrites it. *)
+  Alcotest.(check string) "version 1"
+    "schema_version 1 is no longer read; refresh the file with `genie_cli \
+     bench run --out DIR`"
+    (rejected {|{"schema_version": 1, "section": "s", "env": {}, "metrics": []}|})
+
+(* Every committed baseline parses at the current schema, under its own
+   section's file name, so a stale baseline fails here and not only in
+   CI's compare gate. *)
+let test_baselines_parse () =
+  let dir = "../bench/baselines" in
+  let files =
+    Sys.readdir dir |> Array.to_list |> List.sort String.compare
+    |> List.filter (fun f -> Filename.check_suffix f ".json")
+  in
+  Alcotest.(check int) "baseline files" 18 (List.length files);
+  List.iter
+    (fun f ->
+      match R.read (Filename.concat dir f) with
+      | Error e -> Alcotest.fail e
+      | Ok t ->
+        Alcotest.(check string) "file name" (R.filename t.R.section) f;
+        Alcotest.(check bool)
+          (t.R.section ^ " is a registered section") true
+          (List.mem t.R.section (Bench_sections.Sections.names ()));
+        Alcotest.(check bool) (f ^ " has metrics") true (t.R.metrics <> []))
+    files
+
+(* The writer's schema: a metric is its name, unit, direction and one
+   value, and nothing else (no seed, summary, samples or kind) is
+   written beside them. *)
+let test_writer_fields () =
+  let keys = function
+    | J.Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "not an object"
+  in
+  match J.of_string (R.to_string (sample_result ())) with
+  | Error e -> Alcotest.fail e
+  | Ok j -> (
+    Alcotest.(check (list string)) "top-level keys"
+      [ "schema_version"; "section"; "created"; "env"; "metrics" ] (keys j);
+    Alcotest.(check (option int)) "schema_version" (Some 2)
+      (Option.bind (J.member "schema_version" j) J.to_int);
+    match Option.bind (J.member "metrics" j) J.to_list with
+    | None -> Alcotest.fail "no metrics list"
+    | Some ms ->
+      Alcotest.(check int) "metric count" 4 (List.length ms);
+      List.iter
+        (fun m ->
+          Alcotest.(check (list string)) "metric keys"
+            [ "name"; "unit"; "better"; "value" ] (keys m))
+        ms)
+
+(* A metric the reader cannot take whole is refused, naming the metric
+   and the field, rather than read as a partial value. *)
+let test_malformed_metric_rejected () =
+  let file metric =
+    Printf.sprintf
+      {|{"schema_version": 2, "section": "s", "env": {}, "metrics": [%s]}|} metric
+  in
+  let rejected metric =
+    match R.of_string (file metric) with
+    | Error e -> e
+    | Ok _ -> Alcotest.failf "accepted %s" metric
+  in
+  Alcotest.(check string) "summary in place of value"
+    "metric m: missing or non-numeric value"
+    (rejected
+       {|{"name": "m", "unit": "us", "better": "lower",
+          "summary": {"mean": 1.0}, "samples": [1.0]}|});
+  Alcotest.(check string) "string value" "metric m: missing or non-numeric value"
+    (rejected {|{"name": "m", "unit": "us", "better": "lower", "value": "1.0"}|});
+  Alcotest.(check string) "unknown better" "metric m: unknown better \"up\""
+    (rejected {|{"name": "m", "unit": "us", "better": "up", "value": 1.0}|});
+  Alcotest.(check string) "no name" "metric: missing or non-string \"name\""
+    (rejected {|{"unit": "us", "better": "lower", "value": 1.0}|});
+  (* A number written without a fraction is still a value. *)
+  match
+    R.of_string (file {|{"name": "m", "unit": "us", "better": "lower", "value": 3}|})
+  with
+  | Ok t ->
+    Alcotest.(check (list (float 0.))) "integer value" [ 3. ]
+      (List.map (fun m -> m.R.value) t.R.metrics)
+  | Error e -> Alcotest.fail e
+
+(* A file missing one of the top-level fields is refused with the
+   field's name. *)
+let test_incomplete_result_rejected () =
+  let rejected input =
+    match R.of_string input with
+    | Error e -> e
+    | Ok _ -> Alcotest.failf "accepted %S" input
+  in
+  Alcotest.(check string) "no version" "missing schema_version"
+    (rejected {|{"section": "s", "env": {}, "metrics": []}|});
+  Alcotest.(check string) "no section" "missing section"
+    (rejected {|{"schema_version": 2, "env": {}, "metrics": []}|});
+  Alcotest.(check string) "no env" "missing env"
+    (rejected {|{"schema_version": 2, "section": "s", "metrics": []}|});
+  Alcotest.(check string) "no metrics" "missing metrics"
+    (rejected {|{"schema_version": 2, "section": "s", "env": {}}|})
 
 (* {1 Compare} *)
 
@@ -302,6 +327,41 @@ let test_compare_zero_baseline () =
   let report = Cmp.compare ~baseline:base ~current:cur () in
   Alcotest.(check bool) "0 -> 1 fails" false (Cmp.passed report)
 
+(* The report [bench compare] prints: a header of counts, then each
+   metric outside the threshold under its verdict, then the missing and
+   new names.  A metric within the threshold is not listed. *)
+let test_compare_render () =
+  let base =
+    result_with
+      [ ("lat", R.Lower, 100.); ("tput", R.Higher, 50.); ("gone", R.Lower, 1.);
+        ("same", R.Lower, 7.) ]
+  in
+  let cur =
+    result_with
+      [ ("lat", R.Lower, 110.); ("tput", R.Higher, 60.); ("same", R.Lower, 7.);
+        ("fresh", R.Lower, 2.) ]
+  in
+  let report = Cmp.compare ~baseline:base ~current:cur () in
+  match String.split_on_char '\n' (Cmp.render report) with
+  | [] -> Alcotest.fail "empty report"
+  | header :: rest ->
+    Alcotest.(check string) "header"
+      "section cmp: 3 metric(s) compared, 1 regression(s), 1 improvement(s), \
+       1 missing, 1 new"
+      header;
+    let listed =
+      List.filter_map
+        (fun line ->
+          match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+          | tag :: name :: _ -> Some (tag, name)
+          | _ -> None)
+        rest
+    in
+    Alcotest.(check (list (pair string string))) "listed metrics"
+      [ ("REGRESSION", "lat"); ("improvement", "tput"); ("MISSING", "gone");
+        ("new", "fresh") ]
+      listed
+
 (* A real section's collector output satisfies compare-against-self with
    zero regressions (the acceptance criterion, minus the CLI shell). *)
 let test_section_self_compare () =
@@ -329,7 +389,7 @@ let test_cost_tables_exact () =
   Sys.remove dir;
   Sys.mkdir dir 0o700;
   let read path = match R.read path with Ok t -> t | Error e -> Alcotest.fail e in
-  let samples t = List.map (fun m -> (m.R.name, m.R.samples)) t.R.metrics in
+  let values t = List.map (fun m -> (m.R.name, m.R.value)) t.R.metrics in
   List.iter
     (fun section ->
       let baseline =
@@ -339,8 +399,8 @@ let test_cost_tables_exact () =
       | Ok (Some path) ->
         let current = read path in
         Sys.remove path;
-        Alcotest.(check (list (pair string (list (float 0.)))))
-          (section ^ " samples") (samples baseline) (samples current)
+        Alcotest.(check (list (pair string (float 0.))))
+          (section ^ " values") (values baseline) (values current)
       | Ok None -> Alcotest.failf "%s recorded no metrics" section
       | Error e -> Alcotest.fail e)
     [ "table6"; "table8" ];
@@ -380,16 +440,17 @@ let suite =
     Alcotest.test_case "json nested round-trip" `Quick test_json_roundtrip_nested;
     QCheck_alcotest.to_alcotest json_float_roundtrip;
     Alcotest.test_case "json parse errors" `Quick test_json_errors;
-    Alcotest.test_case "summary known values" `Quick test_summary_known;
-    Alcotest.test_case "summary single sample" `Quick test_summary_single;
-    Alcotest.test_case "summary percentiles" `Quick test_summary_percentile;
-    Alcotest.test_case "summary empty" `Quick test_summary_empty;
     Alcotest.test_case "bench result round-trip" `Quick test_bench_result_roundtrip;
     Alcotest.test_case "bench result file round-trip" `Quick
       test_bench_result_file_roundtrip;
     Alcotest.test_case "collector guards" `Quick test_collector_guards;
     Alcotest.test_case "bad schema rejected" `Quick test_bench_result_rejects_bad_schema;
-    Alcotest.test_case "wall kind rejected" `Quick test_wall_kind_rejected;
+    Alcotest.test_case "every committed baseline parses" `Quick test_baselines_parse;
+    Alcotest.test_case "writer emits only schema fields" `Quick test_writer_fields;
+    Alcotest.test_case "malformed metric rejected" `Quick
+      test_malformed_metric_rejected;
+    Alcotest.test_case "incomplete result rejected" `Quick
+      test_incomplete_result_rejected;
     Alcotest.test_case "compare identical" `Quick test_compare_identical;
     Alcotest.test_case "compare regression detected" `Quick
       test_compare_regression_detected;
@@ -399,6 +460,7 @@ let suite =
     Alcotest.test_case "compare direction" `Quick test_compare_direction;
     Alcotest.test_case "compare missing metric" `Quick test_compare_missing_metric;
     Alcotest.test_case "compare zero baseline" `Quick test_compare_zero_baseline;
+    Alcotest.test_case "compare report lists each verdict" `Quick test_compare_render;
     Alcotest.test_case "section self-compare" `Quick test_section_self_compare;
     Alcotest.test_case "tables 6 and 8 equal their baselines exactly" `Quick
       test_cost_tables_exact;

@@ -149,10 +149,14 @@ let test_streaming_summary_basics () =
     (SS.memory_words big)
 
 let test_geometric_mean () =
-  Alcotest.(check (float 1e-9)) "gm" 4. (Stats.Summary.geometric_mean [ 2.; 8. ]);
+  let gm = Workload.Experiments.geometric_mean in
+  Alcotest.(check (float 1e-9)) "gm" 4. (gm [ 2.; 8. ]);
   Alcotest.check_raises "empty"
-    (Invalid_argument "Summary.geometric_mean: empty list") (fun () ->
-      ignore (Stats.Summary.geometric_mean []))
+    (Invalid_argument "Experiments.geometric_mean: empty list") (fun () ->
+      ignore (gm []));
+  Alcotest.check_raises "non-positive"
+    (Invalid_argument "Experiments.geometric_mean: non-positive value") (fun () ->
+      ignore (gm [ 2.; 0. ]))
 
 let suite =
   [

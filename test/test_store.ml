@@ -246,52 +246,6 @@ let test_store_counters () =
   Alcotest.(check int) "fsyncs" 1 (c "fsyncs");
   Alcotest.(check bool) "disk_writes" true (c "disk_writes" >= 4)
 
-let test_file_map () =
-  let w, fio = setup () in
-  let cache = Genie.File_io.cache fio in
-  let fd = Genie.File_io.open_file fio in
-  let len = 2 * psize in
-  let data = pattern ~len ~seed:11 in
-  must (Genie.File_io.write fio ~fd ~off:0 ~data ~on_complete:(fun () -> ()));
-  Genie.World.run w;
-  let space = Genie.Host.new_space w.Genie.World.a in
-  let m = ref None in
-  must (Store.File_map.map cache ~space ~fd ~on_ready:(fun mp -> m := Some mp));
-  Genie.World.run w;
-  let m1 = Option.get !m in
-  Alcotest.(check bool) "fresh region" false (Store.File_map.reused m1);
-  let base = Store.File_map.base m1 in
-  Alcotest.(check bool) "mapped bytes equal" true
-    (Bytes.equal data (As.read space ~addr:base ~len));
-  (* store through the mapping: resolves via the write-fault path and
-     must not scribble on the cache's copy of the file *)
-  As.write space ~addr:base (Bytes.make 100 'Z');
-  let got = ref Bytes.empty in
-  must
-    (Genie.File_io.read fio ~fd ~off:0 ~len ~on_complete:(fun b -> got := b));
-  Genie.World.run w;
-  Alcotest.(check bool) "file unchanged before sync" true
-    (Bytes.equal data !got);
-  (* msync publishes the modification through the cache *)
-  let synced = ref false in
-  must (Store.File_map.sync cache m1 ~on_complete:(fun () -> synced := true));
-  Genie.World.run w;
-  Alcotest.(check bool) "sync completed" true !synced;
-  must
-    (Genie.File_io.read fio ~fd ~off:0 ~len ~on_complete:(fun b -> got := b));
-  Genie.World.run w;
-  Bytes.fill data 0 100 'Z';
-  Alcotest.(check bool) "file updated after sync" true (Bytes.equal data !got);
-  (* unmap hides the region; the next map of the same size reuses it *)
-  Store.File_map.unmap cache m1;
-  m := None;
-  must (Store.File_map.map cache ~space ~fd ~on_ready:(fun mp -> m := Some mp));
-  Genie.World.run w;
-  let m2 = Option.get !m in
-  Alcotest.(check bool) "region reused" true (Store.File_map.reused m2);
-  Alcotest.(check bool) "remapped bytes equal" true
-    (Bytes.equal data (As.read space ~addr:(Store.File_map.base m2) ~len))
-
 let recv_setup w ~vc =
   let ea, eb = Genie.World.endpoint_pair w ~vc ~mode:Net.Adapter.Early_demux in
   let space = Genie.Host.new_space w.Genie.World.b in
@@ -554,7 +508,6 @@ let suite =
     Alcotest.test_case "write throttling" `Quick test_write_throttling;
     Alcotest.test_case "backpressure `Again" `Quick test_backpressure_again;
     Alcotest.test_case "store trace counters" `Quick test_store_counters;
-    Alcotest.test_case "file map (mmap-style)" `Quick test_file_map;
     Alcotest.test_case "sendfile = read+send bytes" `Quick
       test_sendfile_equals_read_send;
     QCheck_alcotest.to_alcotest prop_read_your_writes;
