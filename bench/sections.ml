@@ -547,11 +547,6 @@ let all : (string * (R.collector -> unit)) list =
 
 let names () = List.map fst all
 
-let timestamp () =
-  let t = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
-    (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min t.Unix.tm_sec
-
 (* Run one section, writing BENCH_<section>.json to [out_dir] if the
    section recorded any metrics.  Exceptions are reported, not
    propagated, so a driver can run every requested section and still
@@ -564,7 +559,6 @@ let run_one ?(out_dir = ".") name =
          (String.concat ", " (names ())))
   | Some f ->
     let c = R.create_collector ~section:name () in
-    R.set_created c (timestamp ());
     (match f c with
     | () ->
       if R.collector_is_empty c then Ok None

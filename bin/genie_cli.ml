@@ -188,83 +188,32 @@ let check_cmd =
          & info [ "check-every" ] ~docv:"N"
              ~doc:"Run the invariant suite every N steps.")
   in
-  let no_exhaustion_arg =
-    Arg.(value & flag
-         & info [ "no-exhaustion" ]
-             ~doc:
-               "Disable the memory-hog actions that drive the hosts into \
-                genuine frame and overlay-pool exhaustion.")
+  (* One --no-NAME flag per switchable regime, in the fuzzer's order. *)
+  let off_args =
+    List.fold_left
+      (fun acc (s : Check.Fuzzer.switch) ->
+        let set = Arg.(value & flag & info [ "no-" ^ s.name ] ~doc:s.doc) in
+        Term.(const (fun offs set -> if set then offs @ [ s ] else offs) $ acc $ set))
+      (Term.const []) Check.Fuzzer.switches
   in
-  let no_faults_arg =
-    Arg.(value & flag
-         & info [ "no-faults" ]
-             ~doc:
-               "Disable the deterministic link-fault schedules (drop, \
-                corrupt, duplicate, delay) and the reliable-transport \
-                sessions that recover from them.")
-  in
-  let no_batch_arg =
-    Arg.(value & flag
-         & info [ "no-batch" ]
-             ~doc:
-               "Drive every transfer through the single-shot input and \
-                output calls instead of the batch API (submit_batch / \
-                reap_completions bursts with mid-batch cancels) — isolates \
-                batch-path failures.")
-  in
-  let no_storage_arg =
-    Arg.(value & flag
-         & info [ "no-storage" ]
-             ~doc:
-               "Disable the storage regime (file writes, reads, fsyncs and \
-                sendfile through the simulated page cache, audited against \
-                a flat-file model) and fuzz the network paths alone.")
-  in
-  let no_fabric_arg =
-    Arg.(value & flag
-         & info [ "no-fabric" ]
-             ~doc:
-               "Disable the fabric-churn regime (flow open/close storms \
-                against the recycled flow table, audited against a shadow \
-                model) — isolates flow-table failures.")
-  in
-  let no_adapt_arg =
-    Arg.(value & flag
-         & info [ "no-adapt" ]
-             ~doc:
-               "Disable the adaptation regime (an online semantics \
-                controller choosing host a's output semantics under \
-                mid-run workload shifts, audited against the migration \
-                cap).")
-  in
-  let run steps seed check_every no_exhaustion no_faults no_batch no_storage
-      no_fabric no_adapt =
+  let run steps seed check_every offs =
     let cfg =
-      { Check.Fuzzer.default_config with
-        steps; seed; check_every;
-        exhaustion = not no_exhaustion;
-        link_faults = not no_faults;
-        batch = not no_batch;
-        storage = not no_storage;
-        fabric = not no_fabric;
-        adapt = not no_adapt }
+      List.fold_left
+        (fun cfg (s : Check.Fuzzer.switch) -> s.off cfg)
+        { Check.Fuzzer.default_config with steps; seed; check_every }
+        offs
     in
     let o = Check.Fuzzer.run cfg in
     Check.Fuzzer.pp_outcome Format.std_formatter o;
     match o.Check.Fuzzer.stop with
     | Check.Fuzzer.Completed -> ()
     | Check.Fuzzer.Violations _ ->
-      Printf.printf
-        "reproduce with: genie_cli check --steps %d --seed %d%s%s%s%s%s%s%s\n"
-        steps seed
+      Printf.printf "reproduce with: genie_cli check --steps %d --seed %d%s%s\n" steps
+        seed
         (if check_every <> 1 then Printf.sprintf " --check-every %d" check_every
          else "")
-        (if no_exhaustion then " --no-exhaustion" else "")
-        (if no_faults then " --no-faults" else "")
-        (if no_batch then " --no-batch" else "")
-        (if no_storage then " --no-storage" else "")
-        (if no_fabric then " --no-fabric" else "")
-        (if no_adapt then " --no-adapt" else "");
+        (String.concat ""
+           (List.map (fun (s : Check.Fuzzer.switch) -> " --no-" ^ s.name) offs));
       exit 1
   in
   Cmd.v
@@ -272,10 +221,7 @@ let check_cmd =
        ~doc:
          "Fuzz the VM/Genie stack with randomized fault schedules and audit \
           kernel-state invariants after every step.")
-    Term.(
-      const run $ steps_arg $ seed_arg $ check_every_arg $ no_exhaustion_arg
-      $ no_faults_arg $ no_batch_arg $ no_storage_arg $ no_fabric_arg
-      $ no_adapt_arg)
+    Term.(const run $ steps_arg $ seed_arg $ check_every_arg $ off_args)
 
 (* {1 fabric: the datacenter-scale fan-in flow engine} *)
 

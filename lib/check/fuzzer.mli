@@ -9,17 +9,18 @@
     pageout pressure, and mid-transfer removal of system-allocated input
     regions (forcing the region check to re-home zombie pages).
 
-    Two regimes push the run beyond fair-weather schedules:
-
-    - {e exhaustion}: hog actions hold large slices of the overlay pool
-      and of free physical memory, so concurrent transfers hit the typed
-      degradation ladder — semantics fallback, pool borrowing,
-      pageout-reclaim retries and [`Again] backpressure rejections;
-    - {e link faults}: one-shot faults on the datagram VCs, plus
-      go-back-N {!Genie.Rel_channel} sessions on a dedicated VC pair
-      running against drop / duplicate / delay / corrupt / dead-link
-      schedules — exercising retransmission recovery, the exponential
-      backoff, the retransmission-cap give-up and receive deadlines.
+    [run] is a short driver over seven regime modules, each holding one
+    regime's state, weighted actions, drain audit and digest counter:
+    the core datagram transfers with their faults; the batch API;
+    {e exhaustion}, whose hogs hold slices of the overlay pool and of
+    free memory so transfers hit the typed degradation ladder; {e link
+    faults}, one-shot faults on the datagram VCs plus go-back-N
+    {!Genie.Rel_channel} sessions under drop / duplicate / delay /
+    corrupt / dead-link schedules; storage; fabric churn against a
+    {!Genie.Flow_table} shadow model ([flow-table] violations); and
+    adaptation, a {!Genie.Adapt} controller choosing host a's output
+    semantics under mid-run workload shifts, its migrations bounded by
+    {!Genie.Adapt.migration_cap} ([adapt-oscillation]).
 
     Beyond the {!Invariants} catalogue (run every [check_every] steps),
     the fuzzer audits two end-to-end properties and reports them as
@@ -40,8 +41,6 @@ type config = {
   check_every : int;  (** run the invariant suite every N steps *)
   pool_frames : int;  (** per-host overlay pool size *)
   memory_mb : int;  (** per-host physical memory *)
-  max_in_flight : int;  (** cap on concurrent transfers *)
-  trace_tail : int;  (** tracer events kept in the outcome on violation *)
   exhaustion : bool;  (** schedule pool/memory hog actions *)
   link_faults : bool;
       (** schedule one-shot link faults and reliable-transport sessions *)
@@ -65,35 +64,21 @@ type config = {
           readback are audited against a flat-file model
           ([byte-integrity]); the store counters join the audited event
           set and the replay digest. *)
-  fabric : bool;
-      (** drive flow open/close storms against a {!Genie.Flow_table} —
-          the recycled-slot slab the fabric engine stores its flow state
-          machines in — audited against a shadow model: the free list
-          must never reissue a handle (a stale handle can never alias a
-          slot's next tenant), freed handles must go inert ([get] =
-          [None], [free] = [false]), and live/high-water accounting must
-          track the model.  Violations report under the [flow-table]
-          invariant. *)
-  adapt : bool;
-      (** put a {!Genie.Adapt} controller on host a: every a->b transfer
-          the schedule sends runs on the controller's current choice,
-          with evidence noted per accepted datagram, while the
-          transfer-size population shifts mid-run (mixed, then
-          large-only, then small-only at the third marks of the
-          schedule) — so semantics migrations land at arbitrary points
-          under exhaustion, link faults and batching.  The existing
-          byte-integrity and transfer-accounting audits prove migration
-          loses nothing; an [adapt-oscillation] audit additionally
-          bounds observed migrations by the dwell-derived
-          {!Genie.Adapt.migration_cap}, and the controller's
-          [adapt_epochs] / [adapt_migrations] counters join the audited
-          event set and the replay digest. *)
 }
 
 val default_config : config
 (** seed 1, 2000 steps, checking every step, 128 pool frames, 32 MB,
-    6 transfers in flight, 48 trace events, exhaustion, link faults,
-    batching, storage, fabric churn and adaptation all on. *)
+    every regime on. *)
+
+type switch = {
+  name : string;  (** [genie_cli check --no-NAME] turns the regime off *)
+  doc : string;
+  off : config -> config;
+}
+
+val switches : switch list
+(** The regimes a run can leave out, in flag order: exhaustion, link
+    faults, batch, storage. *)
 
 type stop_reason =
   | Completed
@@ -118,7 +103,7 @@ type outcome = {
           [sem_fallbacks], [backpressure_rejects], [reclaims],
           [pdu_drops], [rel_gave_ups] *)
   trace_tail : string list;
-      (** most recent tracer events of both hosts at the end of the run *)
+      (** the last 48 tracer events of each host at the end of the run *)
   digest : string;
       (** hex digest of the run's results: driver counts, completion
           sums, audited tracer counters and the final simulated instant.
@@ -130,6 +115,7 @@ val run : ?trace:Simcore.Tracer.t -> config -> outcome
 (** Build a fresh world and execute the schedule.  Deterministic in
     [config].  [trace] installs a shared tracer on both hosts (it is
     enabled for the run), so callers can audit the typed event stream —
-    span nesting, counter monotonicity — under the fault schedule. *)
+    span nesting, counter monotonicity — under the fault schedule; the
+    outcome is the one an untraced run gives. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -19,28 +19,16 @@ type metric = { name : string; unit_ : string; better : better; value : float }
 
 type env = { os_type : string; word_size : int; ocaml_version : string }
 
-type t = {
-  section : string;
-  created : string option;
-  env : env;
-  metrics : metric list;
-}
+type t = { section : string; env : env; metrics : metric list }
 
 let current_env () =
   { os_type = Sys.os_type; word_size = Sys.word_size; ocaml_version = Sys.ocaml_version }
 
 (* {1 Collector} *)
 
-type collector = {
-  c_section : string;
-  mutable c_created : string option;
-  mutable c_rev_metrics : metric list;
-}
+type collector = { c_section : string; mutable c_rev_metrics : metric list }
 
-let create_collector ~section () =
-  { c_section = section; c_created = None; c_rev_metrics = [] }
-
-let set_created c created = c.c_created <- Some created
+let create_collector ~section () = { c_section = section; c_rev_metrics = [] }
 
 (* A non-finite value is a broken run (a transfer that never completed
    leaves its time at [nan]); it must fail the section, not vanish from
@@ -55,12 +43,7 @@ let scalar c ~name ~unit_ ?(better = Lower) value =
 let collector_is_empty c = c.c_rev_metrics = []
 
 let result c =
-  {
-    section = c.c_section;
-    created = c.c_created;
-    env = current_env ();
-    metrics = List.rev c.c_rev_metrics;
-  }
+  { section = c.c_section; env = current_env (); metrics = List.rev c.c_rev_metrics }
 
 (* {1 JSON (de)serialization} *)
 
@@ -86,7 +69,6 @@ let to_json t =
     [
       ("schema_version", Json.Int schema_version);
       ("section", Json.Str t.section);
-      ("created", match t.created with Some s -> Json.Str s | None -> Json.Null);
       ( "env",
         Json.Obj
           [
@@ -138,7 +120,6 @@ let of_json j =
     | Some s -> Ok s
     | None -> Error "missing section"
   in
-  let created = Option.bind (Json.member "created" j) Json.to_str in
   let* env =
     match Json.member "env" j with
     | Some ej ->
@@ -166,7 +147,7 @@ let of_json j =
       |> Result.map List.rev
     | None -> Error "missing metrics"
   in
-  Ok { section; created; env; metrics }
+  Ok { section; env; metrics }
 
 let of_string s = Result.bind (Json.of_string s) of_json
 

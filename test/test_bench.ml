@@ -86,7 +86,6 @@ let test_json_errors () =
 
 let sample_result () =
   let c = R.create_collector ~section:"unit_test" () in
-  R.set_created c "2026-01-01T00:00:00Z";
   R.scalar c ~name:"a.latency_us" ~unit_:"us" 1.5;
   R.scalar c ~name:"b.throughput_mbps" ~unit_:"Mbps" ~better:R.Higher 133.7;
   R.scalar c ~name:"c.events" ~unit_:"count" 250.;
@@ -99,7 +98,6 @@ let test_bench_result_roundtrip () =
   | Error e -> Alcotest.fail e
   | Ok t' ->
     Alcotest.(check string) "section" t.R.section t'.R.section;
-    Alcotest.(check (option string)) "created" t.R.created t'.R.created;
     Alcotest.(check int) "metric count" (List.length t.R.metrics)
       (List.length t'.R.metrics);
     List.iter2
@@ -188,7 +186,7 @@ let test_writer_fields () =
   | Error e -> Alcotest.fail e
   | Ok j -> (
     Alcotest.(check (list string)) "top-level keys"
-      [ "schema_version"; "section"; "created"; "env"; "metrics" ] (keys j);
+      [ "schema_version"; "section"; "env"; "metrics" ] (keys j);
     Alcotest.(check (option int)) "schema_version" (Some 2)
       (Option.bind (J.member "schema_version" j) J.to_int);
     match Option.bind (J.member "metrics" j) J.to_list with

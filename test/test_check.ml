@@ -227,6 +227,29 @@ let test_deferred_dealloc_keeps_invariants () =
     "no violations" []
     (List.map I.violation_to_string (broken_scenario ()))
 
+(* The fuzzer's failure path: with deferred deallocation off, seed 3
+   stops at its first failing check with the violations, the schedule so
+   far, both hosts' trace tails and a digest that replays the stop. *)
+let test_fuzz_failure_path () =
+  let o =
+    Fun.protect
+      ~finally:(fun () -> Memory.Phys_mem.skip_deferred_dealloc := false)
+      (fun () ->
+        Memory.Phys_mem.skip_deferred_dealloc := true;
+        F.run { F.default_config with steps = 200; seed = 3 })
+  in
+  Alcotest.(check int) "stops at step" 20 o.F.steps_run;
+  (match o.F.stop with
+  | F.Completed -> Alcotest.fail "the broken kernel passed every check"
+  | F.Violations vs ->
+    Alcotest.(check int) "violations" 8 (List.length vs);
+    Alcotest.(check string) "first violation"
+      "[free-list] host-a frame#151: free frame carries I/O references (in=0 out=1)"
+      (I.violation_to_string (List.hd vs)));
+  Alcotest.(check int) "schedule entries" 25 (List.length o.F.schedule);
+  Alcotest.(check int) "trace tail lines" 96 (List.length o.F.trace_tail);
+  Alcotest.(check string) "digest" "8d85c9e51c47a0b4b4852019e38a9674" o.F.digest
+
 let test_violation_to_string () =
   let v =
     {
@@ -264,4 +287,6 @@ let suite =
     Alcotest.test_case "deferred dealloc keeps invariants" `Quick
       test_deferred_dealloc_keeps_invariants;
     Alcotest.test_case "violation rendering" `Quick test_violation_to_string;
+    Alcotest.test_case "broken deferred-dealloc stops a fuzz run" `Quick
+      test_fuzz_failure_path;
   ]

@@ -370,6 +370,59 @@ let test_tail () =
     (names (T.tail t 10));
   Alcotest.(check (list string)) "zero gives nothing" [] (names (T.tail t 0))
 
+(* {1 Tracing never changes a result}
+
+   Table 6 is fitted from traced probes while Figures 3-7 come from
+   untraced ones, so an enabled tracer must not move a single bit. *)
+
+let probe_setups =
+  [
+    (Net.Adapter.Early_demux, 0);
+    (Net.Adapter.Pooled, Proto.Dgram_header.length);
+    (Net.Adapter.Pooled, 0);
+    (Net.Adapter.Outboard, 0);
+  ]
+
+let probe_traced_equals_untraced =
+  QCheck.Test.make ~name:"a probe's outcome is equal traced and untraced" ~count:64
+    QCheck.(
+      triple (int_bound 7) (int_bound 3)
+        (oneofl [ 64; 1_700; 4_096; 6_000; 16_384; 61_440 ]))
+    (fun (si, mi, len) ->
+      let mode, recv_offset = List.nth probe_setups mi in
+      let cfg =
+        {
+          (Workload.Latency_probe.default ~sem:(List.nth Sem.all si) ~len) with
+          mode;
+          recv_offset;
+          spec = light;
+        }
+      in
+      let bits (o : Workload.Latency_probe.outcome) =
+        Printf.sprintf "%h/%h/%h" o.one_way_us o.rtt_us o.cpu_busy_fraction
+      in
+      let trace = T.create ~enabled:true () in
+      let traced = Workload.Latency_probe.run ~trace cfg in
+      T.typed_events trace <> []
+      && bits traced = bits (Workload.Latency_probe.run cfg))
+
+(* Checking once at the end keeps this cheap; checking reads state and
+   never moves the digest. *)
+let test_fuzz_traced_equals_untraced () =
+  let cfg =
+    { Check.Fuzzer.default_config with steps = 300; seed = 1; check_every = 300 }
+  in
+  let plain = Check.Fuzzer.run cfg in
+  let trace = T.create () in
+  let traced = Check.Fuzzer.run ~trace cfg in
+  Alcotest.(check bool) "the shared tracer saw the run" true (T.typed_events trace <> []);
+  List.iter
+    (fun (o : Check.Fuzzer.outcome) ->
+      Alcotest.(check string) "pinned digest" "2ae504eeae370a2c6f41862daee77758"
+        o.digest)
+    [ plain; traced ];
+  Alcotest.(check (list (pair string int))) "same events" plain.events traced.events
+
 let suite =
   [
     Alcotest.test_case "output path span and dispose ordering" `Quick
@@ -394,4 +447,7 @@ let suite =
     Alcotest.test_case "render formats scope, kind and args" `Quick test_render;
     Alcotest.test_case "tail returns recent events oldest first" `Quick
       test_tail;
+    QCheck_alcotest.to_alcotest probe_traced_equals_untraced;
+    Alcotest.test_case "a fuzz run's digest is equal traced and untraced" `Quick
+      test_fuzz_traced_equals_untraced;
   ]
