@@ -17,17 +17,9 @@ let tcow c =
     let ea, eb = Genie.World.endpoint_pair w ~vc:3 ~mode:Net.Adapter.Early_demux in
     let psize = Genie.Host.page_size w.Genie.World.a in
     let len = 15 * psize in
-    let sa = Genie.Host.new_space w.Genie.World.a in
-    let region = Vm.Address_space.map_region sa ~npages:15 in
-    let buf =
-      Genie.Buf.make sa ~addr:(Vm.Address_space.base_addr region ~page_size:psize) ~len
-    in
+    let buf = Genie.Buf.map (Genie.Host.new_space w.Genie.World.a) ~len in
     Genie.Buf.fill_pattern buf ~seed:1;
-    let sb = Genie.Host.new_space w.Genie.World.b in
-    let rregion = Vm.Address_space.map_region sb ~npages:15 in
-    let rbuf =
-      Genie.Buf.make sb ~addr:(Vm.Address_space.base_addr rregion ~page_size:psize) ~len
-    in
+    let rbuf = Genie.Buf.map (Genie.Host.new_space w.Genie.World.b) ~len in
     let got = ref Bytes.empty in
     (match
        Genie.Endpoint.input eb ~sem ~spec:(Genie.Input_path.App_buffer rbuf)

@@ -7,12 +7,10 @@
    receiver."  We measure all 64 sender x receiver combinations at 60 KB
    (early demultiplexing) and compare each against that composition. *)
 
-module As = Vm.Address_space
 module Sem = Genie.Semantics
 module C = Machine.Cost_model
 
 let light = Workload.Experiments.light_spec Machine.Machine_spec.micron_p166
-let psize = 4096
 let len = 61440
 
 let measure send_sem recv_sem =
@@ -22,20 +20,15 @@ let measure send_sem recv_sem =
   let state =
     if Sem.system_allocated send_sem then Vm.Region.Moved_in else Vm.Region.Unmovable
   in
-  let region = As.map_region space_a ~npages:(len / psize) ~state in
-  let buf =
-    Genie.Buf.make space_a ~addr:(As.base_addr region ~page_size:psize) ~len
-  in
+  let buf = Genie.Buf.map ~state space_a ~len in
   Genie.Buf.fill_pattern buf ~seed:1;
   let spec =
     if Sem.system_allocated recv_sem then
       Genie.Input_path.Sys_alloc
         { space = Genie.Host.new_space w.Genie.World.b; len }
     else begin
-      let space_b = Genie.Host.new_space w.Genie.World.b in
-      let r = As.map_region space_b ~npages:(len / psize) in
       Genie.Input_path.App_buffer
-        (Genie.Buf.make space_b ~addr:(As.base_addr r ~page_size:psize) ~len)
+        (Genie.Buf.map (Genie.Host.new_space w.Genie.World.b) ~len)
     end
   in
   let done_at = ref nan in

@@ -496,10 +496,7 @@ let load c =
     (fun sem ->
       List.iter
         (fun offered ->
-          let o =
-            Workload.Load_sweep.run
-              (Workload.Load_sweep.default ~sem ~offered_mbps:offered)
-          in
+          let o = Workload.Load_sweep.run ~sem ~offered_mbps:offered in
           let base =
             Printf.sprintf "load.%s.%.0fmbps" (slug (Genie.Semantics.name sem)) offered
           in

@@ -207,15 +207,7 @@ let xfer_len = 4 * psize
 (* Post one application-buffer input on the receiving endpoint and
    count its delivery. *)
 let post_input w eb ~delivered =
-  let rspace = Genie.Host.new_space w.Genie.World.b in
-  let region =
-    Vm.Address_space.map_region rspace ~npages:(xfer_len / psize)
-  in
-  let buf =
-    Genie.Buf.make rspace
-      ~addr:(Vm.Address_space.base_addr region ~page_size:psize)
-      ~len:xfer_len
-  in
+  let buf = Genie.Buf.map (Genie.Host.new_space w.Genie.World.b) ~len:xfer_len in
   ignore
     (must
        (Genie.Endpoint.input eb ~sem:Genie.Semantics.emulated_share
@@ -279,15 +271,8 @@ let bench_sendfile c t =
         must
           (Genie.File_io.read fio ~fd ~off:0 ~len:xfer_len
              ~on_complete:(fun data ->
-               let sspace = Genie.Host.new_space w.Genie.World.a in
-               let sregion =
-                 Vm.Address_space.map_region sspace
-                   ~npages:(xfer_len / psize)
-               in
                let buf =
-                 Genie.Buf.make sspace
-                   ~addr:(Vm.Address_space.base_addr sregion ~page_size:psize)
-                   ~len:xfer_len
+                 Genie.Buf.map (Genie.Host.new_space w.Genie.World.a) ~len:xfer_len
                in
                Genie.Buf.write buf data;
                ignore

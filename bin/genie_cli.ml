@@ -277,18 +277,9 @@ let fabric_cmd =
                 [0.1, 1.5] whose p99 sojourn stays under P99_US \
                 microseconds.")
   in
-  let adaptive_arg =
-    Arg.(value & flag
-         & info [ "adaptive" ]
-             ~doc:
-               "Give every circuit slot an online semantics controller: \
-                flows start on the slot's learned choice and migrate \
-                mid-flow as evidence accumulates.")
-  in
-  let config hosts ports circuits flows load adaptive seed =
+  let config hosts ports circuits flows load seed =
     { Workload.Fabric.default with
-      Workload.Fabric.hosts; ports; circuits_per_port = circuits; flows;
-      load; adaptive; seed }
+      Workload.Fabric.hosts; ports; circuits_per_port = circuits; flows; load; seed }
   in
   let point_json (p : Workload.Load_sweep.fabric_point) =
     Printf.sprintf
@@ -317,8 +308,8 @@ let fabric_cmd =
       close_out oc;
       Printf.printf "[fabric] wrote %s\n" path
   in
-  let run hosts ports circuits flows load adaptive seed out sweep knee =
-    let cfg = config hosts ports circuits flows load adaptive seed in
+  let run hosts ports circuits flows load seed out sweep knee =
+    let cfg = config hosts ports circuits flows load seed in
     match (sweep, knee) with
     | Some grid, _ ->
       let loads =
@@ -363,9 +354,6 @@ let fabric_cmd =
         (q 0.5) (q 0.99) (q 0.999);
       Printf.printf "active flows: high water %d of %d pooled slots\n"
         o.Workload.Fabric.active_high_water o.Workload.Fabric.table_capacity;
-      if cfg.Workload.Fabric.adaptive then
-        Printf.printf "adaptation: %d migrations over %d epochs\n"
-          o.Workload.Fabric.adapt_migrations o.Workload.Fabric.adapt_epochs;
       Printf.printf "fabric digest: %s\n" o.Workload.Fabric.digest;
       write_out out
         (Printf.sprintf
@@ -392,7 +380,7 @@ let fabric_cmd =
           digest; --sweep and --knee drive offered-load curves.")
     Term.(
       const run $ hosts_arg $ ports_arg $ circuits_arg $ flows_arg $ load_arg
-      $ adaptive_arg $ seed_arg $ out_arg $ sweep_arg $ knee_arg)
+      $ seed_arg $ out_arg $ sweep_arg $ knee_arg)
 
 (* {1 trace: run a named scenario with tracing on, export Chrome JSON} *)
 

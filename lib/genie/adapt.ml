@@ -5,8 +5,6 @@ type config = {
   epoch_datagrams : int;
   window_epochs : int;
   dwell_epochs : int;
-  switch_margin : float;
-  switch_cost_us : float;
   candidates : Semantics.t list;
 }
 
@@ -15,10 +13,12 @@ let default_config =
     epoch_datagrams = 16;
     window_epochs = 4;
     dwell_epochs = 3;
-    switch_margin = 0.05;
-    switch_cost_us = 50.;
     candidates = Semantics.all;
   }
+
+(* Hysteresis constants: see [consider_migration]. *)
+let switch_margin = 0.05
+let switch_cost_us = 50.
 
 (* Evidence counters sampled per epoch, in probe order. *)
 let evidence_names =
@@ -179,14 +179,13 @@ let consider_migration t =
     (* Hysteresis: dwell first, then require the improvement to clear a
        relative margin plus the switch cost amortized over one dwell. *)
     let amortized =
-      t.config.switch_cost_us
+      switch_cost_us
       /. float_of_int (t.config.dwell_epochs * t.config.epoch_datagrams)
     in
     if
       (not (Semantics.equal best_sem t.sem))
       && t.epochs_on_current >= t.config.dwell_epochs
-      && cur_score -. best_score
-         > (t.config.switch_margin *. cur_score) +. amortized
+      && cur_score -. best_score > (switch_margin *. cur_score) +. amortized
     then begin
       if T.on t.host.Host.scope then
         T.instant t.host.Host.scope "adapt.migrate"

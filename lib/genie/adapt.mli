@@ -24,8 +24,9 @@
       to strong in-place candidates.
     - {e Hysteresis}: the flow migrates only after [dwell_epochs] on its
       current semantics, and only when the best candidate beats the
-      current score by a relative margin plus an amortized switching
-      cost, so noisy evidence cannot cause oscillation.  Total
+      current score by a 5% margin plus a 50 us switching cost
+      amortized over one dwell, so noisy evidence cannot cause
+      oscillation.  Total
       migrations are therefore bounded by [epochs / dwell_epochs] (see
       {!migration_cap}).
 
@@ -40,19 +41,13 @@ type config = {
   epoch_datagrams : int;  (** datagrams per evidence epoch *)
   window_epochs : int;  (** sliding evidence window, in epochs *)
   dwell_epochs : int;  (** minimum epochs on a semantics before migrating *)
-  switch_margin : float;
-      (** required relative improvement of the best candidate over the
-          current semantics (e.g. 0.05 = 5%) *)
-  switch_cost_us : float;
-      (** one-time migration cost, amortized over one dwell period when
-          comparing scores *)
   candidates : Semantics.t list;
       (** corners this flow may run as (first-listed wins score ties) *)
 }
 
 val default_config : config
-(** 16-datagram epochs, 4-epoch window, 3-epoch dwell, 5% margin,
-    50 us switch cost, all eight corners. *)
+(** 16-datagram epochs, 4-epoch window, 3-epoch dwell, all eight
+    corners. *)
 
 type t
 

@@ -4,6 +4,14 @@ let make space ~addr ~len =
   if addr < 0 || len < 0 then invalid_arg "Buf.make";
   { space; addr; len }
 
+let map ?state ?(offset = 0) space ~len =
+  let psize = Vm.Address_space.page_size space in
+  let region =
+    Vm.Address_space.map_region ?state space
+      ~npages:((offset + len + psize - 1) / psize)
+  in
+  make space ~addr:(Vm.Address_space.base_addr region ~page_size:psize + offset) ~len
+
 let page_offset t = t.addr mod Vm.Address_space.page_size t.space
 
 let pages t =

@@ -3,6 +3,14 @@
 type t = { space : Vm.Address_space.t; addr : int; len : int }
 
 val make : Vm.Address_space.t -> addr:int -> len:int -> t
+
+val map :
+  ?state:Vm.Region.movability -> ?offset:int -> Vm.Address_space.t -> len:int -> t
+(** Map a fresh region of [ceil ((offset + len) / page_size)] pages in
+    [space] (in region state [state], default [Unmovable]) and return
+    the buffer of [len] bytes starting [offset] (default 0) bytes into
+    it. *)
+
 val page_offset : t -> int
 (** Offset of the buffer start within its first page. *)
 

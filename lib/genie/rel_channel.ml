@@ -33,12 +33,7 @@ let chunk_buf t (buf : Buf.t) i =
 
 (* Acknowledgements are one-byte datagrams whose header sequence field
    carries the cumulative "next expected chunk" value. *)
-let ack_scratch host =
-  let space = Host.new_space host in
-  let region = Vm.Address_space.map_region space ~npages:1 in
-  Buf.make space
-    ~addr:(Vm.Address_space.base_addr region ~page_size:(Host.page_size host))
-    ~len:1
+let ack_scratch host = Buf.map (Host.new_space host) ~len:1
 
 (* Exponential backoff: the timeout doubles per consecutive barren round,
    capped at 8x the base. *)

@@ -3,10 +3,8 @@ module C = Machine.Cost_model
 let alloc (host : Host.t) space ~len =
   if len <= 0 then invalid_arg "Sys_buffers.alloc: len must be positive";
   let psize = Host.page_size host in
-  let npages = (len + psize - 1) / psize in
-  Ops.charge host.Host.ops C.Region_create ~unit:(`Pages npages);
-  let region = Vm.Address_space.map_region space ~npages ~state:Vm.Region.Moved_in in
-  Buf.make space ~addr:(Vm.Address_space.base_addr region ~page_size:psize) ~len
+  Ops.charge host.Host.ops C.Region_create ~unit:(`Pages ((len + psize - 1) / psize));
+  Buf.map ~state:Vm.Region.Moved_in space ~len
 
 let dealloc (host : Host.t) (buf : Buf.t) =
   let region = Vm.Address_space.region_of_addr buf.Buf.space ~vaddr:buf.Buf.addr in

@@ -3,18 +3,17 @@
 let min_class_bits = 6
 let max_class_bits = 17
 
-type t = {
-  classes : bytes Queue.t array;
-  max_per_class : int;
-  mutable hits : int;
-}
+(* Idle buffers each class retains; surplus gives are dropped for the
+   GC. *)
+let max_per_class = 64
+
+type t = { classes : bytes Queue.t array; mutable hits : int }
 
 let debug_poison = ref false
 
-let create ?(max_per_class = 64) () =
+let create () =
   {
     classes = Array.init (max_class_bits - min_class_bits + 1) (fun _ -> Queue.create ());
-    max_per_class;
     hits = 0;
   }
 
@@ -41,7 +40,7 @@ let give t buf =
   if len land (len - 1) = 0 then
     match class_of_len len with
     | Some cls when 1 lsl (cls + min_class_bits) = len ->
-      if Queue.length t.classes.(cls) < t.max_per_class then begin
+      if Queue.length t.classes.(cls) < max_per_class then begin
         if !debug_poison then Bytes.fill buf 0 len '\xA5';
         Queue.add buf t.classes.(cls)
       end

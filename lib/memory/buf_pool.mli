@@ -15,9 +15,9 @@
 
 type t
 
-val create : ?max_per_class:int -> unit -> t
-(** [max_per_class] (default 64) bounds how many idle buffers each size
-    class retains; surplus {!give}s are dropped for the GC. *)
+val create : unit -> t
+(** An empty pool.  Each size class retains at most 64 idle buffers;
+    surplus {!give}s are dropped for the GC. *)
 
 val take : t -> len:int -> bytes
 (** A buffer of length >= [len] (the smallest power-of-two class, at

@@ -10,9 +10,6 @@ type t = {
   media : (int, bytes) Hashtbl.t;
   mutable busy_until : T.t;
   mutable next_at : int;  (* arm position: the block after the last transfer *)
-  mutable reads : int;
-  mutable writes : int;
-  mutable seeks : int;
   mutable trace : Simcore.Tracer.scope option;
 }
 
@@ -26,17 +23,11 @@ let create engine costs ~vm =
     media = Hashtbl.create 256;
     busy_until = T.zero;
     next_at = 0;
-    reads = 0;
-    writes = 0;
-    seeks = 0;
     trace = None;
   }
 
 let set_trace_scope t scope = t.trace <- Some scope
 let page_size t = t.page_size
-let reads t = t.reads
-let writes t = t.writes
-let seeks t = t.seeks
 
 let counter t ?(n = 1) name =
   match t.trace with
@@ -58,10 +49,7 @@ let submit t ~dir ~block ~frames ~on_complete =
   let start = T.max now t.busy_until in
   let seeking = block <> t.next_at in
   let seek = if seeking then C.cost t.costs C.Disk_seek ~bytes:0 else T.zero in
-  if seeking then begin
-    t.seeks <- t.seeks + 1;
-    counter t "disk_seeks"
-  end;
+  if seeking then counter t "disk_seeks";
   let op = match dir with `Read -> C.Disk_read | `Write -> C.Disk_write in
   let dur = T.add seek (C.cost t.costs op ~bytes:(n * t.page_size)) in
   let finish = T.add start dur in
@@ -73,12 +61,10 @@ let submit t ~dir ~block ~frames ~on_complete =
   let io_id =
     match dir with
     | `Read ->
-      t.reads <- t.reads + n;
       counter t ~n "disk_reads";
       List.iter (Memory.Phys_mem.ref_input t.phys) frames;
       Vm.Vm_sys.register_io t.vm ~dir:Vm.Vm_sys.Io_input ~frames ~objects:[]
     | `Write ->
-      t.writes <- t.writes + n;
       counter t ~n "disk_writes";
       List.iter (Memory.Phys_mem.ref_output t.phys) frames;
       Vm.Vm_sys.register_io t.vm ~dir:Vm.Vm_sys.Io_output ~frames ~objects:[]

@@ -27,7 +27,9 @@ val create : Simcore.Engine.t -> Machine.Cost_model.t -> vm:Vm.Vm_sys.t -> t
 
 val set_trace_scope : t -> Simcore.Tracer.scope -> unit
 (** Install a (store-subsystem) scope: per-request [Complete] spans plus
-    [disk_reads]/[disk_writes]/[disk_seeks] counters. *)
+    the [disk_reads] and [disk_writes] counters (blocks transferred) and
+    [disk_seeks] (requests that paid the seek cost).  These counters are
+    the device's only record of its traffic. *)
 
 val page_size : t -> int
 
@@ -46,12 +48,3 @@ val flush : t -> on_complete:(unit -> unit) -> unit
 (** Cache-flush barrier ({!Machine.Cost_model.Fsync_barrier}): occupies
     the device after everything already queued, completing only when
     all prior transfers have retired. *)
-
-val reads : t -> int
-(** Blocks transferred by read requests so far. *)
-
-val writes : t -> int
-(** Blocks transferred by write requests so far. *)
-
-val seeks : t -> int
-(** Requests that paid the seek cost. *)

@@ -2,7 +2,6 @@ module C = Machine.Cost_model
 
 type config = {
   max_pages : int;
-  readahead_window : int;
   readahead_min_run : int;
   writeback_interval_us : float;
   dirty_high : int;
@@ -12,12 +11,14 @@ type config = {
 let default_config =
   {
     max_pages = 256;
-    readahead_window = 8;
     readahead_min_run = 2;
     writeback_interval_us = 30_000.;
     dirty_high = 64;
     dirty_throttle = 96;
   }
+
+(* Pages fetched ahead of a sequential run. *)
+let readahead_window = 8
 
 type charging = {
   charge : C.op -> bytes:int -> unit;
@@ -88,7 +89,6 @@ let create ?(config = default_config) ~engine ~dev ~charging ~alloc_frame
   }
 
 let set_trace_scope t scope = t.trace <- Some scope
-let dev t = t.dev
 let dirty_pages t = t.dirty_count
 let is_cached t ~fd ~page = Hashtbl.mem t.table (fd, page)
 
@@ -325,10 +325,10 @@ let note_access t fr ~p0 ~p1 =
   if p0 = fr.seq_next then fr.seq_run <- fr.seq_run + (p1 - p0 + 1)
   else fr.seq_run <- p1 - p0 + 1;
   fr.seq_next <- p1 + 1;
-  if fr.seq_run >= t.cfg.readahead_min_run && t.cfg.readahead_window > 0 then begin
+  if fr.seq_run >= t.cfg.readahead_min_run then begin
     let last_page = if fr.size = 0 then -1 else (fr.size - 1) / t.page_size in
     let lo = p1 + 1 in
-    let hi = min (lo + t.cfg.readahead_window - 1) last_page in
+    let hi = min (lo + readahead_window - 1) last_page in
     let wanted = if lo > hi then [] else missing_pages t fr.fd ~p0:lo ~p1:hi in
     (* Best-effort: stop at the first frame we cannot get, never fail
        the read that triggered us. *)

@@ -31,8 +31,8 @@
 
 type config = {
   max_pages : int;  (** cache capacity in page frames *)
-  readahead_window : int;  (** pages fetched ahead of a sequential run *)
-  readahead_min_run : int;  (** run length that triggers read-ahead *)
+  readahead_min_run : int;
+      (** run length that triggers read-ahead of the next 8 pages *)
   writeback_interval_us : float;  (** periodic flusher tick *)
   dirty_high : int;  (** dirty pages that trigger immediate writeback *)
   dirty_throttle : int;
@@ -70,8 +70,6 @@ val set_trace_scope : t -> Simcore.Tracer.scope -> unit
 (** Store-subsystem counters: [cache_hits], [cache_misses],
     [readaheads], [writebacks], [fsyncs], [cache_evictions],
     [wb_throttles], [store_rejects]. *)
-
-val dev : t -> Block_dev.t
 
 val open_file : t -> int
 (** Create an empty file; returns its descriptor. *)

@@ -1,27 +1,18 @@
 type phase = { len : int; rounds : int }
 
-type config = {
-  scheme : Genie.Stage_cost.scheme;
-  phases : phase list;
-  warmup : int;
-  params : Net.Net_params.t;
-  spec : Machine.Machine_spec.t;
-  thresholds : Genie.Thresholds.t option;
-  recv_offset : int;
-}
+type config = { scheme : Genie.Stage_cost.scheme; phases : phase list }
 
-let default ~scheme ~phases =
-  {
-    scheme;
-    phases;
-    warmup = 4;
-    params = Net.Net_params.oc3;
-    spec = Machine.Machine_spec.micron_p166;
-    thresholds = None;
-    recv_offset = (match scheme with
-      | Genie.Stage_cost.Pooled_unaligned -> 24
-      | Genie.Stage_cost.Early_demux | Genie.Stage_cost.Pooled_aligned -> 0);
-  }
+(* Unmeasured leading rounds. *)
+let warmup = 4
+
+let params = Net.Net_params.oc3
+let spec = Machine.Machine_spec.micron_p166
+
+(* Application-buffer byte offset within its page: unaligned only for
+   [Pooled_unaligned]. *)
+let recv_offset = function
+  | Genie.Stage_cost.Pooled_unaligned -> 24
+  | Genie.Stage_cost.Early_demux | Genie.Stage_cost.Pooled_aligned -> 0
 
 type outcome = {
   mean_rtt_us : float;
@@ -49,36 +40,20 @@ let round_lens cfg =
    length, created on first use. *)
 type app_bufs = {
   space : Vm.Address_space.t;
-  psize : int;
   offset : int;
   by_len : (int, Genie.Buf.t * Genie.Buf.t) Hashtbl.t;
 }
-
-let make_app_buf ab len =
-  let npages = (ab.offset + len + ab.psize - 1) / ab.psize in
-  let region = Vm.Address_space.map_region ab.space ~npages in
-  Genie.Buf.make ab.space
-    ~addr:(Vm.Address_space.base_addr region ~page_size:ab.psize + ab.offset)
-    ~len
 
 let app_pair ab len =
   match Hashtbl.find_opt ab.by_len len with
   | Some pair -> pair
   | None ->
-    let send = make_app_buf ab len and recv = make_app_buf ab len in
+    let make () = Genie.Buf.map ~offset:ab.offset ab.space ~len in
+    let send = make () and recv = make () in
     Genie.Buf.fill_pattern send ~seed:7;
     let pair = (send, recv) in
     Hashtbl.add ab.by_len len pair;
     pair
-
-let make_moved_in_buf ab len =
-  let npages = (len + ab.psize - 1) / ab.psize in
-  let region =
-    Vm.Address_space.map_region ab.space ~npages ~state:Vm.Region.Moved_in
-  in
-  Genie.Buf.make ab.space
-    ~addr:(Vm.Address_space.base_addr region ~page_size:ab.psize)
-    ~len
 
 (* The per-round policy: [choose] picks the semantics for the next round
    and [note] observes its completion — this is the only difference
@@ -94,30 +69,20 @@ let run_rounds cfg ~make_policy =
   let lens = round_lens cfg in
   let total = Array.length lens in
   if total = 0 then invalid_arg "Adaptive_run: empty schedule";
-  if cfg.warmup >= total then invalid_arg "Adaptive_run: warmup >= rounds";
+  if warmup >= total then invalid_arg "Adaptive_run: warmup >= rounds";
   let world =
-    Genie.World.create ~params:cfg.params ~spec_a:cfg.spec ~spec_b:cfg.spec
-      ?thresholds:cfg.thresholds ()
+    Genie.World.create ~params ~spec_a:spec ~spec_b:spec
+      ~thresholds:Genie.Thresholds.no_conversion ()
   in
   let a_host = world.Genie.World.a and b_host = world.Genie.World.b in
   let ea, eb =
     Genie.World.endpoint_pair world ~vc:5 ~mode:(rx_mode cfg.scheme)
   in
-  let psize = cfg.spec.Machine.Machine_spec.page_size in
+  let offset = recv_offset cfg.scheme in
   let a_bufs =
-    {
-      space = Genie.Host.new_space a_host;
-      psize;
-      offset = cfg.recv_offset;
-      by_len = Hashtbl.create 4;
-    }
+    { space = Genie.Host.new_space a_host; offset; by_len = Hashtbl.create 4 }
   and b_bufs =
-    {
-      space = Genie.Host.new_space b_host;
-      psize;
-      offset = cfg.recv_offset;
-      by_len = Hashtbl.create 4;
-    }
+    { space = Genie.Host.new_space b_host; offset; by_len = Hashtbl.create 4 }
   in
   let policy = make_policy a_host in
   let choose = policy.choose and note = policy.note in
@@ -132,7 +97,7 @@ let run_rounds cfg ~make_policy =
   let rec start_round () =
     if !round < total then begin
       incr round;
-      if !round = cfg.warmup + 1 then meas_start := now_a ();
+      if !round = warmup + 1 then meas_start := now_a ();
       let len = lens.(!round - 1) in
       let sem = choose () in
       let out_buf =
@@ -140,7 +105,7 @@ let run_rounds cfg ~make_policy =
           let buf =
             match !a_moved with
             | Some b when b.Genie.Buf.len = len -> b
-            | _ -> make_moved_in_buf a_bufs len
+            | _ -> Genie.Buf.map ~state:Vm.Region.Moved_in a_bufs.space ~len
           in
           a_moved := None;
           buf
@@ -164,7 +129,7 @@ let run_rounds cfg ~make_policy =
     end
   and on_a_recv (r : Genie.Input_path.result) =
     if not (Genie.Input_path.ok r) then failwith "Adaptive_run: corrupt echo";
-    if !round > cfg.warmup then begin
+    if !round > warmup then begin
       rtt_us := !rtt_us +. (now_a () -. !t_send);
       incr rtt_n
     end;
@@ -267,8 +232,6 @@ type regime = {
   r_adapt : Genie.Adapt.config;
 }
 
-let no_conv cfg = { cfg with thresholds = Some Genie.Thresholds.no_conversion }
-
 (* Controller parameters for single-regime runs: 16-datagram epochs, a
    4-epoch window and 3-epoch dwell over ~26 epochs. *)
 let steady_adapt candidates =
@@ -278,13 +241,7 @@ let steady_adapt candidates =
    window and dwell, so the controller trails a phase boundary by only
    a handful of datagrams. *)
 let nimble_adapt candidates =
-  {
-    Genie.Adapt.default_config with
-    epoch_datagrams = 4;
-    window_epochs = 2;
-    dwell_epochs = 2;
-    candidates;
-  }
+  { Genie.Adapt.epoch_datagrams = 4; window_epochs = 2; dwell_epochs = 2; candidates }
 
 let strong_corners =
   Genie.Semantics.
@@ -302,7 +259,7 @@ let system_corners =
 let single ~name ~scheme ~len ~candidates ~adapt =
   {
     r_name = name;
-    r_config = no_conv (default ~scheme ~phases:[ { len; rounds = 416 } ]);
+    r_config = { scheme; phases = [ { len; rounds = 416 } ] };
     r_candidates = candidates;
     r_adapt = adapt candidates;
   }
@@ -330,7 +287,7 @@ let mixed_regime =
   let phases = List.concat (List.init 4 (fun _ -> block)) in
   {
     r_name = "mixed";
-    r_config = no_conv (default ~scheme:Genie.Stage_cost.Early_demux ~phases);
+    r_config = { scheme = Genie.Stage_cost.Early_demux; phases };
     r_candidates = conversion_pair;
     r_adapt = nimble_adapt conversion_pair;
   }

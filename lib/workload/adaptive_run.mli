@@ -12,21 +12,20 @@
     The workload is a static phase schedule (both hosts derive their
     per-round datagram lengths from it independently — nothing mutable
     crosses the hosts).  Mixed workloads are phase lists that revisit
-    regimes; single-regime workloads are one phase. *)
+    regimes; single-regime workloads are one phase.
+
+    Fixed in the harness: an OC-3 link between two Micron P166 hosts
+    with {!Genie.Thresholds.no_conversion}, and 4 unmeasured leading
+    rounds. *)
 
 type phase = { len : int;  (** payload bytes per datagram *) rounds : int }
 
 type config = {
   scheme : Genie.Stage_cost.scheme;
       (** receiver buffering regime: fixes the RX mode and, for
-          [Pooled_unaligned], an unaligned application receive buffer *)
+          [Pooled_unaligned], application buffers 24 bytes into their
+          page (page-aligned otherwise) *)
   phases : phase list;
-  warmup : int;  (** unmeasured leading rounds *)
-  params : Net.Net_params.t;
-  spec : Machine.Machine_spec.t;
-  thresholds : Genie.Thresholds.t option;
-  recv_offset : int;
-      (** application-buffer byte offset within its page (0 = aligned) *)
 }
 
 type outcome = {

@@ -22,16 +22,8 @@ type config = {
   circuits_per_port : int;
   flows : int;
   load : float;
-  alpha : float;
-  size_min : int;
-  size_max : int;
   chunk_bytes : int;
-  credit_cells : int;
-  retry_us : float;
-  adaptive : bool;
   seed : int;
-  params : Net.Net_params.t;
-  spec : Machine.Machine_spec.t;
 }
 
 let default =
@@ -41,17 +33,25 @@ let default =
     circuits_per_port = 32;
     flows = 2000;
     load = 0.7;
-    alpha = 1.3;
-    size_min = 4096;
-    size_max = 1 lsl 20;
     chunk_bytes = 16384;
-    credit_cells = 512;
-    retry_us = 50.;
-    adaptive = false;
     seed = 42;
-    params = Net.Net_params.oc3;
-    spec = Experiments.light_spec Machine.Machine_spec.micron_p166;
   }
+
+(* Flow sizes: bounded Pareto with tail index [alpha] on
+   [size_min, size_max] bytes. *)
+let alpha = 1.3
+let size_min = 4096.
+let size_max = float_of_int (1 lsl 20)
+
+(* Per-VC credit window on the client adapter, in cells. *)
+let credit_cells = 512
+
+(* Backoff before retrying an [`Again] output or input. *)
+let retry = Simcore.Sim_time.of_us 50.
+
+(* Every port is an OC-3 link between two light Micron P166 hosts. *)
+let params = Net.Net_params.oc3
+let spec = Experiments.light_spec Machine.Machine_spec.micron_p166
 
 type outcome = {
   offered : int;
@@ -66,8 +66,6 @@ type outcome = {
   sojourn_us : Stats.Streaming_summary.t;
   active_high_water : int;
   table_capacity : int;
-  adapt_migrations : int;
-  adapt_epochs : int;
   digest : string;
 }
 
@@ -87,11 +85,6 @@ type circuit = {
   mutable fl_chunks : int;
   mutable fl_sent : int;
   mutable fl_sem : Genie.Semantics.t;
-  ctl : Genie.Adapt.t option;
-      (* client-side controller, one per circuit slot: each flow riding
-         the circuit starts on the controller's current choice and its
-         chunks feed the evidence window — per-flow adaptation in
-         O(active) memory. *)
   mutable rx_expected : int;  (* 0 = no flow open server-side *)
   mutable rx_got : int;
   mutable rx_start : float;
@@ -138,16 +131,6 @@ let pareto_mean ~alpha ~lo ~hi =
     *. (alpha /. (alpha -. 1.))
     *. ((lo ** (1. -. alpha)) -. (hi ** (1. -. alpha)))
 
-let make_buf host ~len =
-  let psize = Genie.Host.page_size host in
-  let space = Genie.Host.new_space host in
-  let region =
-    Vm.Address_space.map_region space ~npages:((len + psize - 1) / psize)
-  in
-  Genie.Buf.make space
-    ~addr:(Vm.Address_space.base_addr region ~page_size:psize)
-    ~len
-
 let validate cfg =
   if cfg.ports < 1 then invalid_arg "Fabric.run: ports must be >= 1";
   if cfg.hosts < cfg.ports then invalid_arg "Fabric.run: hosts < ports";
@@ -155,9 +138,6 @@ let validate cfg =
     invalid_arg "Fabric.run: circuits_per_port must be >= 1";
   if cfg.flows < 1 then invalid_arg "Fabric.run: flows must be >= 1";
   if cfg.load <= 0. then invalid_arg "Fabric.run: load must be positive";
-  if cfg.alpha <= 0. then invalid_arg "Fabric.run: alpha must be positive";
-  if cfg.size_min <= 0 || cfg.size_max < cfg.size_min then
-    invalid_arg "Fabric.run: need 0 < size_min <= size_max";
   if cfg.chunk_bytes <= 0 then
     invalid_arg "Fabric.run: chunk_bytes must be positive"
 
@@ -165,29 +145,21 @@ let run cfg =
   validate cfg;
   let engine = Simcore.Engine.create () in
   let root = Simcore.Rng.create ~seed:cfg.seed in
-  let prop = cfg.params.Net.Net_params.prop_delay in
+  let prop = params.Net.Net_params.prop_delay in
   (* Payload bytes per us at line rate: 48 payload bytes per cell. *)
-  let bytes_per_us = 48000. /. Net.Net_params.cell_time_ns cfg.params in
+  let bytes_per_us = 48000. /. Net.Net_params.cell_time_ns params in
   (* Flows stream as whole chunks, so the wire carries the size rounded
      up to a chunk multiple.  The closed-form Pareto mean undershoots
      that; correct it with a deterministic pre-sample (a scratch Rng
      stream beyond the port ids) so the configured load is the load the
      link actually sees. *)
   let mean_size =
-    let exact =
-      pareto_mean ~alpha:cfg.alpha
-        ~lo:(float_of_int cfg.size_min)
-        ~hi:(float_of_int cfg.size_max)
-    in
+    let exact = pareto_mean ~alpha ~lo:size_min ~hi:size_max in
     let scratch = Simcore.Rng.stream root ~id:cfg.ports in
     let n = 4096 in
     let acc = ref 0. in
     for _ = 1 to n do
-      let s =
-        Simcore.Rng.bounded_pareto scratch ~alpha:cfg.alpha
-          ~lo:(float_of_int cfg.size_min)
-          ~hi:(float_of_int cfg.size_max)
-      in
+      let s = Simcore.Rng.bounded_pareto scratch ~alpha ~lo:size_min ~hi:size_max in
       let chunks = (int_of_float s + cfg.chunk_bytes - 1) / cfg.chunk_bytes in
       acc := !acc +. float_of_int (max 1 chunks * cfg.chunk_bytes)
     done;
@@ -195,12 +167,8 @@ let run cfg =
   in
   let mean_gap_us = mean_size /. (cfg.load *. bytes_per_us) in
   let make_port i =
-    let a =
-      Genie.Host.create engine cfg.params cfg.spec ~name:(Printf.sprintf "f%d-a" i)
-    in
-    let b =
-      Genie.Host.create engine cfg.params cfg.spec ~name:(Printf.sprintf "f%d-b" i)
-    in
+    let a = Genie.Host.create engine params spec ~name:(Printf.sprintf "f%d-a" i) in
+    let b = Genie.Host.create engine params spec ~name:(Printf.sprintf "f%d-b" i) in
     Net.Adapter.connect a.Genie.Host.adapter b.Genie.Host.adapter;
     let rng = Simcore.Rng.stream root ~id:i in
     let n = cfg.circuits_per_port in
@@ -208,28 +176,11 @@ let run cfg =
       let vc = ci + 1 in
       let ea = Genie.Endpoint.create a ~vc ~mode:Net.Adapter.Early_demux in
       let eb = Genie.Endpoint.create b ~vc ~mode:Net.Adapter.Early_demux in
-      Net.Adapter.set_credit_limit a.Genie.Host.adapter ~vc
-        ~cells:cfg.credit_cells;
-      let cbuf = make_buf a ~len:cfg.chunk_bytes in
+      Net.Adapter.set_credit_limit a.Genie.Host.adapter ~vc ~cells:credit_cells;
+      let cbuf = Genie.Buf.map (Genie.Host.new_space a) ~len:cfg.chunk_bytes in
       Genie.Buf.fill_pattern cbuf ~seed:((i * 8191) + ci);
-      let rbuf = make_buf b ~len:cfg.chunk_bytes in
+      let rbuf = Genie.Buf.map (Genie.Host.new_space b) ~len:cfg.chunk_bytes in
       let in_sem = app_sems.(Simcore.Rng.int rng ~bound:(Array.length app_sems)) in
-      let ctl =
-        if cfg.adaptive then
-          Some
-            (Genie.Adapt.create
-               ~config:
-                 {
-                   Genie.Adapt.default_config with
-                   epoch_datagrams = 8;
-                   window_epochs = 2;
-                   dwell_epochs = 2;
-                   candidates = Array.to_list app_sems;
-                 }
-               ~host:a ~scheme:Genie.Stage_cost.Early_demux
-               ~sem:Genie.Semantics.copy ())
-        else None
-      in
       {
         ci;
         ea;
@@ -241,7 +192,6 @@ let run cfg =
         fl_chunks = 0;
         fl_sent = 0;
         fl_sem = Genie.Semantics.copy;
-        ctl;
         rx_expected = 0;
         rx_got = 0;
         rx_start = 0.;
@@ -302,8 +252,7 @@ let run cfg =
       | Error `Again ->
         (* Backpressure, as in [send_chunk]: re-post after the backoff. *)
         p.retries <- p.retries + 1;
-        Simcore.Engine.schedule engine
-          ~delay:(Simcore.Sim_time.of_us cfg.retry_us) post
+        Simcore.Engine.schedule engine ~delay:retry post
     in
     post ()
   in
@@ -317,34 +266,19 @@ let run cfg =
       Genie.Endpoint.output c.ea ~sem:c.fl_sem ~buf:c.cbuf
         ~on_complete:(fun () ->
           c.fl_sent <- c.fl_sent + 1;
-          (match c.ctl with
-          | Some ctl ->
-            Genie.Adapt.note_datagram ctl ~len:cfg.chunk_bytes;
-            (* Semantics are per datagram: a migration mid-flow simply
-               takes effect from the next chunk. *)
-            c.fl_sem <- Genie.Adapt.semantics ctl
-          | None -> ());
           if c.fl_sent < c.fl_chunks then send_chunk p c)
         ()
     with
     | Ok _ -> ()
     | Error `Again ->
       p.retries <- p.retries + 1;
-      Simcore.Engine.schedule engine ~delay:(Simcore.Sim_time.of_us cfg.retry_us)
-        (fun () -> send_chunk p c)
+      Simcore.Engine.schedule engine ~delay:retry (fun () -> send_chunk p c)
   in
   let open_flow p c ~chunks =
     c.fl_handle <- Genie.Flow_table.alloc p.table c.ci;
     c.fl_chunks <- chunks;
     c.fl_sent <- 0;
-    (* The draw always happens so the port's Rng stream alignment is
-       identical with adaptation on or off; with a controller the flow
-       starts on its current learned choice instead. *)
-    let drawn = app_sems.(Simcore.Rng.int p.rng ~bound:(Array.length app_sems)) in
-    c.fl_sem <-
-      (match c.ctl with
-      | Some ctl -> Genie.Adapt.semantics ctl
-      | None -> drawn);
+    c.fl_sem <- app_sems.(Simcore.Rng.int p.rng ~bound:(Array.length app_sems));
     let start = Genie.Host.now_us p.a in
     (* Flow-open metadata reaches the server one propagation delay ahead
        of the first chunk (which also pays serialization). *)
@@ -360,11 +294,7 @@ let run cfg =
         p.offered <- p.offered + 1;
         (* Draws happen unconditionally so the stream's alignment does
            not depend on acceptance. *)
-        let size =
-          Simcore.Rng.bounded_pareto p.rng ~alpha:cfg.alpha
-            ~lo:(float_of_int cfg.size_min)
-            ~hi:(float_of_int cfg.size_max)
-        in
+        let size = Simcore.Rng.bounded_pareto p.rng ~alpha ~lo:size_min ~hi:size_max in
         let host = Simcore.Rng.int p.rng ~bound:cfg.hosts in
         let gap = Simcore.Rng.exponential p.rng ~mean:mean_gap_us in
         let chunks =
@@ -398,24 +328,11 @@ let run cfg =
   and crc_failures = ref 0
   and rx_bytes = ref 0
   and hw = ref 0
-  and capacity = ref 0
-  and migrations = ref 0
-  and adapt_epochs = ref 0 in
+  and capacity = ref 0 in
   let sojourn = ref (Stats.Streaming_summary.create ()) in
   let acc = Buffer.create 256 in
   Array.iteri
     (fun i p ->
-      let p_migr = ref 0 and p_epochs = ref 0 in
-      Array.iter
-        (fun c ->
-          match c.ctl with
-          | Some ctl ->
-            p_migr := !p_migr + Genie.Adapt.migrations ctl;
-            p_epochs := !p_epochs + Genie.Adapt.epochs ctl
-          | None -> ())
-        p.circuits;
-      migrations := !migrations + !p_migr;
-      adapt_epochs := !adapt_epochs + !p_epochs;
       offered := !offered + p.offered;
       accepted := !accepted + p.accepted;
       rejected := !rejected + p.rejected;
@@ -432,13 +349,7 @@ let run cfg =
            p.crc_failures
            (Genie.Flow_table.high_water p.table)
            p.host_sum
-           (Stats.Streaming_summary.digest p.sojourn));
-      (* Appended only when adaptation is on: the digest of a
-         non-adaptive run is byte-identical to what it was before the
-         controller existed. *)
-      if cfg.adaptive then
-        Buffer.add_string acc
-          (Printf.sprintf "am=%d;ae=%d|" !p_migr !p_epochs))
+           (Stats.Streaming_summary.digest p.sojourn)))
     ports;
   let duration_us = Simcore.Sim_time.to_us (Simcore.Engine.now engine) in
   Buffer.add_string acc
@@ -458,7 +369,5 @@ let run cfg =
     sojourn_us = !sojourn;
     active_high_water = !hw;
     table_capacity = !capacity;
-    adapt_migrations = !migrations;
-    adapt_epochs = !adapt_epochs;
     digest = Digest.to_hex (Digest.string (Buffer.contents acc));
   }

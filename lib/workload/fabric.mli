@@ -28,6 +28,11 @@
     application-allocated corners of the taxonomy; each circuit fixes an
     input-side semantics at pool construction.
 
+    Fixed in the model: flow sizes are bounded Pareto with tail index
+    1.3 on [4 KB, 1 MB]; each client VC has a 512-cell credit window; an
+    output or input refused with [`Again] is retried after 50 us; every
+    port is an OC-3 link between two light Micron P166 hosts.
+
     Runs are deterministic for a given [seed]: every port shares one
     sequential engine and draws from its own Rng stream split from the
     seed.  {!outcome.digest} is the replay gate. *)
@@ -38,28 +43,13 @@ type config = {
   circuits_per_port : int;  (** pooled VCs per port = active-flow cap *)
   flows : int;  (** total flows to offer across all ports *)
   load : float;  (** target utilization of each port's link, in (0, ~1+] *)
-  alpha : float;  (** bounded-Pareto tail index of flow sizes *)
-  size_min : int;  (** smallest flow, bytes *)
-  size_max : int;  (** truncation of the size tail, bytes *)
   chunk_bytes : int;  (** flows stream as datagrams of this size *)
-  credit_cells : int;  (** per-VC credit window on the client adapter *)
-  retry_us : float;  (** backoff before retrying an [`Again] output or input *)
-  adaptive : bool;
-      (** give every circuit slot a {!Genie.Adapt} controller on its
-          client host: each flow riding the slot starts on the learned
-          choice, its chunks feed the evidence window, and migrations
-          take effect from the next chunk — per-flow adaptation that
-          stays O(active flows) because controllers live in the circuit
-          pool.  When [false] the engine behaves (and digests)
-          byte-identically to a build without the controller. *)
   seed : int;
-  params : Net.Net_params.t;
-  spec : Machine.Machine_spec.t;
 }
 
 val default : config
 (** 1024 hosts over 4 ports, 32 circuits/port, 2000 flows at load 0.7,
-    Pareto(1.3) sizes in [4 KB, 1 MB], 16 KB chunks, OC-3, seed 42. *)
+    16 KB chunks, seed 42. *)
 
 type outcome = {
   offered : int;
@@ -78,10 +68,6 @@ type outcome = {
       (** peak simultaneous live flows, summed over ports *)
   table_capacity : int;
       (** flow-table slots actually allocated (the memory bound), summed *)
-  adapt_migrations : int;
-      (** semantics migrations performed by circuit controllers (0 when
-          [adaptive] is off) *)
-  adapt_epochs : int;  (** evidence epochs closed across all controllers *)
   digest : string;
       (** deterministic digest of per-port accounting, sojourn
           populations and final simulated time *)

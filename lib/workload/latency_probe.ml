@@ -41,26 +41,10 @@ type side = {
   recv_spec : unit -> Genie.Input_path.spec;
 }
 
-let make_app_buf cfg space =
-  let psize = cfg.spec.Machine.Machine_spec.page_size in
-  let npages = (cfg.recv_offset + cfg.len + psize - 1) / psize in
-  let region = Vm.Address_space.map_region space ~npages in
-  Genie.Buf.make space
-    ~addr:(Vm.Address_space.base_addr region ~page_size:psize + cfg.recv_offset)
-    ~len:cfg.len
-
-let make_moved_in_buf cfg space =
-  let psize = cfg.spec.Machine.Machine_spec.page_size in
-  let npages = (cfg.len + psize - 1) / psize in
-  let region = Vm.Address_space.map_region space ~npages ~state:Vm.Region.Moved_in in
-  Genie.Buf.make space
-    ~addr:(Vm.Address_space.base_addr region ~page_size:psize)
-    ~len:cfg.len
-
 let make_side cfg (host : Genie.Host.t) ep =
   let space = Genie.Host.new_space host in
   if Genie.Semantics.system_allocated cfg.sem then begin
-    let buf = make_moved_in_buf cfg space in
+    let buf = Genie.Buf.map ~state:Vm.Region.Moved_in space ~len:cfg.len in
     {
       ep;
       space;
@@ -69,7 +53,8 @@ let make_side cfg (host : Genie.Host.t) ep =
     }
   end
   else begin
-    let send_buf = make_app_buf cfg space and recv_buf = make_app_buf cfg space in
+    let app_buf () = Genie.Buf.map ~offset:cfg.recv_offset space ~len:cfg.len in
+    let send_buf = app_buf () and recv_buf = app_buf () in
     {
       ep;
       space;

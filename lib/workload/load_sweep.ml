@@ -9,26 +9,13 @@
    at a configurable rate and measures delivered throughput and queueing
    latency, making that consequence observable. *)
 
-type config = {
-  sem : Genie.Semantics.t;
-  len : int;
-  offered_mbps : float;
-  datagrams : int;  (** how many to offer *)
-  params : Net.Net_params.t;
-  spec : Machine.Machine_spec.t;
-  seed : int;
-}
-
-let default ~sem ~offered_mbps =
-  {
-    sem;
-    len = 61440;
-    offered_mbps;
-    datagrams = 60;
-    params = Net.Net_params.oc12;
-    spec = Experiments.light_spec Machine.Machine_spec.micron_p166;
-    seed = 42;
-  }
+(* 60 datagrams of 60 KB over OC-12 between light Micron P166 hosts,
+   Poisson arrivals from seed 42. *)
+let len = 61440
+let datagrams = 60
+let params = Net.Net_params.oc12
+let spec = Experiments.light_spec Machine.Machine_spec.micron_p166
+let seed = 42
 
 type outcome = {
   offered_mbps : float;
@@ -109,32 +96,21 @@ let fabric_knee ?(iters = 6) cfg ~p99_limit_us ~lo ~hi =
     end
   end
 
-let run cfg =
-  if Genie.Semantics.system_allocated cfg.sem then
+let run ~sem ~offered_mbps =
+  if Genie.Semantics.system_allocated sem then
     invalid_arg "Load_sweep.run: application-allocated semantics only";
-  let world =
-    Genie.World.create ~params:cfg.params ~spec_a:cfg.spec ~spec_b:cfg.spec ()
-  in
+  let world = Genie.World.create ~params ~spec_a:spec ~spec_b:spec () in
   let ea, eb = Genie.World.endpoint_pair world ~vc:2 ~mode:Net.Adapter.Early_demux in
   let a = world.Genie.World.a and b = world.Genie.World.b in
-  let psize = Genie.Host.page_size a in
-  let npages = (cfg.len + psize - 1) / psize in
   let make_bufs host n =
-    Array.init n (fun _ ->
-        let space = Genie.Host.new_space host in
-        let region = Vm.Address_space.map_region space ~npages in
-        Genie.Buf.make space
-          ~addr:(Vm.Address_space.base_addr region ~page_size:psize)
-          ~len:cfg.len)
+    Array.init n (fun _ -> Genie.Buf.map (Genie.Host.new_space host) ~len)
   in
   (* A ring of send buffers and a ring of preposted receive buffers. *)
   let send_bufs = make_bufs a 4 in
   Array.iteri (fun i buf -> Genie.Buf.fill_pattern buf ~seed:i) send_bufs;
   let recv_bufs = make_bufs b 8 in
-  let rng = Simcore.Rng.create ~seed:cfg.seed in
-  let mean_gap_us =
-    float_of_int (cfg.len * 8) /. cfg.offered_mbps (* bits / (bits/us) *)
-  in
+  let rng = Simcore.Rng.create ~seed in
+  let mean_gap_us = float_of_int (len * 8) /. offered_mbps (* bits / (bits/us) *) in
   let submit_times = Queue.create () in
   let latencies = Stats.Streaming_summary.create () in
   let received = ref 0 and bytes = ref 0 in
@@ -142,7 +118,7 @@ let run cfg =
   (* Receiver: keep all buffers preposted, reposting on completion. *)
   let rec post_input i =
     match
-      Genie.Endpoint.input eb ~sem:cfg.sem
+      Genie.Endpoint.input eb ~sem
         ~spec:(Genie.Input_path.App_buffer recv_bufs.(i))
         ~on_complete:(fun r ->
           if Genie.Input_path.ok r then begin
@@ -153,7 +129,7 @@ let run cfg =
             | Some t ->
               Stats.Streaming_summary.add latencies (Genie.Host.now_us b -. t)
             | None -> ());
-            if !received + 8 <= cfg.datagrams then post_input i
+            if !received + 8 <= datagrams then post_input i
           end
           else post_input i)
     with
@@ -166,14 +142,14 @@ let run cfg =
   (* Sender: Poisson arrivals. *)
   let sent = ref 0 and rejected = ref 0 in
   let rec arrival () =
-    if !sent < cfg.datagrams then begin
+    if !sent < datagrams then begin
       let now = Genie.Host.now_us a in
       if Float.is_nan !t_first_send then t_first_send := now;
       let buf = send_bufs.(!sent mod Array.length send_bufs) in
       incr sent;
       (* Only an admitted datagram queues its send time: completions pair
          with send times in order. *)
-      (match Genie.Endpoint.output ea ~sem:cfg.sem ~buf () with
+      (match Genie.Endpoint.output ea ~sem ~buf () with
       | Ok _ -> Queue.add now submit_times
       | Error `Again -> incr rejected);
       (* Exponential interarrival. *)
@@ -189,7 +165,7 @@ let run cfg =
   Genie.World.run world;
   let elapsed = !t_last_recv -. !t_first_send in
   {
-    offered_mbps = cfg.offered_mbps;
+    offered_mbps;
     delivered_mbps = 8. *. float_of_int !bytes /. elapsed;
     mean_latency_us = Stats.Streaming_summary.mean latencies;
     max_latency_us = Stats.Streaming_summary.max latencies;

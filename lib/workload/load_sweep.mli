@@ -7,19 +7,6 @@
     copy-avoiding semantics fill the wire — the queueing-theoretic face
     of the paper's Section 8 extrapolation. *)
 
-type config = {
-  sem : Genie.Semantics.t;  (** application-allocated semantics only *)
-  len : int;
-  offered_mbps : float;
-  datagrams : int;
-  params : Net.Net_params.t;
-  spec : Machine.Machine_spec.t;
-  seed : int;
-}
-
-val default : sem:Genie.Semantics.t -> offered_mbps:float -> config
-(** 60 KB datagrams, OC-12, 60 datagrams, Micron P166. *)
-
 type outcome = {
   offered_mbps : float;
   delivered_mbps : float;
@@ -29,7 +16,10 @@ type outcome = {
   rejected : int;  (** outputs refused with [`Again] (frame exhaustion) *)
 }
 
-val run : config -> outcome
+val run : sem:Genie.Semantics.t -> offered_mbps:float -> outcome
+(** Offer 60 datagrams of 60 KB at [offered_mbps] (Poisson arrivals,
+    seed 42) over OC-12 between two light Micron P166 hosts, under
+    [sem], which must be application-allocated. *)
 
 (** {1 Fabric load sweeps}
 

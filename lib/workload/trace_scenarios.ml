@@ -12,21 +12,12 @@ type t = {
   run : unit -> Simcore.Tracer.t;
 }
 
-let psize = 4096
-
 let make_world () =
   let trace = Simcore.Tracer.create ~enabled:true () in
   let w = Genie.World.create ~trace () in
   (trace, w)
 
-let make_buf host ~len =
-  let space = Genie.Host.new_space host in
-  let region =
-    Vm.Address_space.map_region space ~npages:((len + psize - 1) / psize)
-  in
-  Genie.Buf.make space
-    ~addr:(Vm.Address_space.base_addr region ~page_size:psize)
-    ~len
+let make_buf host ~len = Genie.Buf.map (Genie.Host.new_space host) ~len
 
 (* A scenario is a fixed script on a fresh world, so a rejected call is
    a bug in the scenario, not load to account for. *)

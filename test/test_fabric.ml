@@ -129,6 +129,41 @@ let test_fabric_knee () =
         (p.Load_sweep.load >= 0.2 && p.Load_sweep.load <= 1.5))
     probes
 
+(* {1 Pinned results}
+
+   The fabric and load-sweep models fix their flow-size law, credit
+   window, retry backoff, link and machine as constants.  These pins
+   fail if any of them, or the order of the Rng draws, moves.  Floats
+   compare bit for bit through their [%h] spelling. *)
+
+let hex = Printf.sprintf "%h"
+
+let test_fabric_digest_pin () =
+  Alcotest.(check string) "small fabric digest" "329bf630e120c3a5d130d1a5da088a0f"
+    (Fabric.run small).Fabric.digest
+
+let test_load_sweep_pin () =
+  let o = Load_sweep.run ~sem:Genie.Semantics.copy ~offered_mbps:450. in
+  (* BENCH_load.json's load.copy.450mbps.delivered_mbps *)
+  Alcotest.(check string) "copy at 450 Mbps" "0x1.44297ae65b3b8p+8"
+    (hex o.Load_sweep.delivered_mbps)
+
+let test_fabric_curve_pin () =
+  match Load_sweep.fabric_curve small ~loads:[| 0.5; 0.9 |] with
+  | [| p5; p9 |] ->
+    let check what expect (p : Load_sweep.fabric_point) v =
+      Alcotest.(check string)
+        (Printf.sprintf "%s at load %g" what p.Load_sweep.load)
+        expect (hex v)
+    in
+    check "delivered_mbps" "0x1.15a3b4a342c54p+7" p5 p5.Load_sweep.delivered_mbps;
+    check "delivered_mbps" "0x1.9a81458d42794p+7" p9 p9.Load_sweep.delivered_mbps;
+    check "p99_us" (hex 15_424.) p5 p5.Load_sweep.p99_us;
+    check "p99_us" (hex 33_536.) p9 p9.Load_sweep.p99_us;
+    check "rejected_frac" (hex 0.) p5 p5.Load_sweep.rejected_frac;
+    check "rejected_frac" "0x1.d70a3d70a3d71p-5" p9 p9.Load_sweep.rejected_frac
+  | points -> Alcotest.failf "expected 2 curve points, got %d" (Array.length points)
+
 let suite =
   [
     Alcotest.test_case "flow table alloc/free/recycle" `Quick
@@ -140,4 +175,7 @@ let suite =
     Alcotest.test_case "fabric overload rejects" `Quick
       test_fabric_overload_rejects;
     Alcotest.test_case "fabric load knee" `Quick test_fabric_knee;
+    Alcotest.test_case "fabric digest pin" `Quick test_fabric_digest_pin;
+    Alcotest.test_case "load sweep delivered pin" `Quick test_load_sweep_pin;
+    Alcotest.test_case "fabric curve pin" `Quick test_fabric_curve_pin;
   ]

@@ -20,9 +20,18 @@ let must = function
   | Ok v -> v
   | Error `Again -> Alcotest.fail "unexpected `Again backpressure"
 
+(* A tracer that only counts.  The block device keeps no traffic
+   statistics of its own: tests read its [disk_reads], [disk_writes]
+   and [disk_seeks] counters. *)
+let counting_tracer () =
+  let trace = Simcore.Tracer.create () in
+  Simcore.Tracer.enable_counters trace;
+  trace
+
 (* A cache over a raw engine/CPU, without a Genie host — exercises the
-   store library's injected-dependency seams directly. *)
-let raw_cache ?(config = PC.default_config) () =
+   store library's injected-dependency seams directly.  Given [trace],
+   the device counts into it under host "raw". *)
+let raw_cache ?(config = PC.default_config) ?trace () =
   let engine = Simcore.Engine.create () in
   let spec = light in
   let costs = Machine.Cost_model.create spec in
@@ -30,6 +39,11 @@ let raw_cache ?(config = PC.default_config) () =
   let vm = Vm.Vm_sys.create spec in
   let phys = vm.Vm.Vm_sys.phys in
   let dev = Store.Block_dev.create engine costs ~vm in
+  Option.iter
+    (fun trace ->
+      Store.Block_dev.set_trace_scope dev
+        (Simcore.Tracer.scope trace ~host:"raw" ~sub:Simcore.Tracer.Store))
+    trace;
   let charge op ~bytes =
     ignore (Simcore.Cpu.charge cpu ~cost:(Machine.Cost_model.cost costs op ~bytes))
   in
@@ -52,11 +66,11 @@ let raw_cache ?(config = PC.default_config) () =
       ~free_frame:(fun f -> Memory.Phys_mem.deallocate phys f)
       ()
   in
-  (engine, phys, cache)
+  (engine, phys, dev, cache)
 
 let test_block_dev_timing () =
-  let engine, phys, cache = raw_cache () in
-  let dev = PC.dev cache in
+  let trace = counting_tracer () in
+  let engine, phys, dev, _ = raw_cache ~trace () in
   let f1 = Memory.Phys_mem.alloc phys and f2 = Memory.Phys_mem.alloc phys in
   let order = ref [] in
   Store.Block_dev.submit dev ~dir:`Write ~block:0 ~frames:[ f1 ]
@@ -72,9 +86,10 @@ let test_block_dev_timing () =
   Alcotest.(check int) "refs dropped" 0
     (f1.Memory.Frame.output_refs + f2.Memory.Frame.input_refs);
   (* block 0 started at the arm position, block 7 paid the seek *)
-  Alcotest.(check int) "one seek" 1 (Store.Block_dev.seeks dev);
-  Alcotest.(check int) "one block read" 1 (Store.Block_dev.reads dev);
-  Alcotest.(check int) "one block written" 1 (Store.Block_dev.writes dev)
+  let disk name = Simcore.Tracer.counter trace ~host:"raw" name in
+  Alcotest.(check int) "one seek" 1 (disk "disk_seeks");
+  Alcotest.(check int) "one block read" 1 (disk "disk_reads");
+  Alcotest.(check int) "one block written" 1 (disk "disk_writes")
 
 let test_write_read_roundtrip () =
   let w, fio = setup () in
@@ -107,8 +122,9 @@ let test_write_read_roundtrip () =
   Alcotest.(check bool) "patched read equal" true (Bytes.equal data !got)
 
 let test_cold_warm_read () =
-  let w, fio = setup () in
-  let dev = PC.dev (Genie.File_io.cache fio) in
+  let trace = counting_tracer () in
+  let w, fio = setup ~trace () in
+  let disk name = Simcore.Tracer.counter trace ~host:"host-a" name in
   let fd = Genie.File_io.open_file fio in
   let len = 8 * psize in
   must
@@ -118,7 +134,7 @@ let test_cold_warm_read () =
   Genie.File_io.fsync fio ~fd ~on_complete:(fun () -> synced := true);
   Genie.World.run w;
   Alcotest.(check bool) "fsync completed" true !synced;
-  Alcotest.(check int) "all pages written back" 8 (Store.Block_dev.writes dev);
+  Alcotest.(check int) "all pages written back" 8 (disk "disk_writes");
   Alcotest.(check int) "clean after fsync" 0
     (PC.dirty_pages (Genie.File_io.cache fio));
   Alcotest.(check int) "dropped clean pages" 8 (Genie.File_io.drop_caches fio);
@@ -129,14 +145,14 @@ let test_cold_warm_read () =
   Genie.World.run w;
   Alcotest.(check bool) "cold read equal" true
     (Bytes.equal (pattern ~len ~seed:3) !got);
-  let cold_reads = Store.Block_dev.reads dev in
+  let cold_reads = disk "disk_reads" in
   Alcotest.(check bool) "cold read hit the device" true (cold_reads >= 8);
   (* warm: no further device traffic *)
   must
     (Genie.File_io.read fio ~fd ~off:0 ~len ~on_complete:(fun b -> got := b));
   Genie.World.run w;
   Alcotest.(check int) "warm read stayed in cache" cold_reads
-    (Store.Block_dev.reads dev);
+    (disk "disk_reads");
   Alcotest.(check bool) "warm read equal" true
     (Bytes.equal (pattern ~len ~seed:3) !got)
 
@@ -171,8 +187,8 @@ let test_write_throttling () =
       writeback_interval_us = 1e7;
     }
   in
-  let w, fio = setup ~config () in
-  let dev = PC.dev (Genie.File_io.cache fio) in
+  let trace = counting_tracer () in
+  let w, fio = setup ~config ~trace () in
   let fd = Genie.File_io.open_file fio in
   let completed = ref 0 in
   for p = 0 to 9 do
@@ -184,10 +200,10 @@ let test_write_throttling () =
   Genie.World.run w;
   Alcotest.(check int) "all writes completed" 10 !completed;
   Alcotest.(check bool) "throttle forced writeback" true
-    (Store.Block_dev.writes dev >= 5)
+    (Simcore.Tracer.counter trace ~host:"host-a" "disk_writes" >= 5)
 
 let test_backpressure_again () =
-  let engine, phys, cache =
+  let engine, phys, _, cache =
     raw_cache ~config:{ PC.default_config with PC.max_pages = 8 } ()
   in
   let fd = PC.open_file cache in
@@ -460,7 +476,7 @@ let prop_writeback_preserves_bytes =
       (* small cache so eviction happens; ops issue back-to-back with no
          draining in between, so writebacks, RMW fills, fsyncs and
          drop_caches genuinely interleave inside one engine run *)
-      let engine, _phys, cache =
+      let engine, _, _, cache =
         raw_cache ~config:{ PC.default_config with PC.max_pages = 12 } ()
       in
       let fd = PC.open_file cache in

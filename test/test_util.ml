@@ -35,24 +35,17 @@ let one_way ?(mode = Net.Adapter.Early_demux) ?(send_sem = Genie.Semantics.copy)
     ?(recv_spec = `Buffer) () =
   let w = match world with Some w -> w | None -> Genie.World.create () in
   let ea, eb = Genie.World.endpoint_pair w ~vc:7 ~mode in
-  let psize = Genie.Host.page_size w.Genie.World.a in
-  let npages_buf = (app_offset + len + psize - 1) / psize in
+  (* An application buffer's region has one spare page past its end. *)
+  let app_buf space =
+    let spare = Genie.Host.page_size w.Genie.World.a in
+    { (Genie.Buf.map ~offset:app_offset space ~len:(len + spare)) with Genie.Buf.len }
+  in
   (* Sender buffer. *)
   let sa = Genie.Host.new_space w.Genie.World.a in
   let send_buf =
-    if Genie.Semantics.system_allocated send_sem then begin
-      let r =
-        Vm.Address_space.map_region sa ~npages:((len + psize - 1) / psize)
-          ~state:Vm.Region.Moved_in
-      in
-      Genie.Buf.make sa ~addr:(Vm.Address_space.base_addr r ~page_size:psize) ~len
-    end
-    else begin
-      let r = Vm.Address_space.map_region sa ~npages:(npages_buf + 1) in
-      Genie.Buf.make sa
-        ~addr:(Vm.Address_space.base_addr r ~page_size:psize + app_offset)
-        ~len
-    end
+    if Genie.Semantics.system_allocated send_sem then
+      Genie.Buf.map ~state:Vm.Region.Moved_in sa ~len
+    else app_buf sa
   in
   Genie.Buf.fill_pattern send_buf ~seed:42;
   (* Receiver target. *)
@@ -60,12 +53,7 @@ let one_way ?(mode = Net.Adapter.Early_demux) ?(send_sem = Genie.Semantics.copy)
   let recv_spec_v =
     match recv_spec with
     | `Sys -> Genie.Input_path.Sys_alloc { space = sb; len }
-    | `Buffer ->
-      let r = Vm.Address_space.map_region sb ~npages:(npages_buf + 1) in
-      Genie.Input_path.App_buffer
-        (Genie.Buf.make sb
-           ~addr:(Vm.Address_space.base_addr r ~page_size:psize + app_offset)
-           ~len)
+    | `Buffer -> Genie.Input_path.App_buffer (app_buf sb)
   in
   let result = ref None in
   let t_send = ref 0. and t_recv = ref 0. in
